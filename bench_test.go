@@ -140,17 +140,20 @@ func BenchmarkTransientTHDRun(b *testing.B) {
 	}
 }
 
+// BenchmarkSensitivityDCEval times one faulty DC evaluation against a
+// cached nominal response.
 func BenchmarkSensitivityDCEval(b *testing.B) {
-	scfg := core.DefaultConfig()
-	scfg.BoxMode = core.BoxSeed
-	s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	f := fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)
+	T := []float64{20e-6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Sensitivity(0, f, []float64{20e-6}); err != nil {
+		s := freshDCSession(b)
+		b.StopTimer()
+		if _, err := s.Nominal(0, T); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.Sensitivity(0, f, T); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,12 +265,6 @@ func BenchmarkNominalCacheHitSerial(b *testing.B) {
 // work-stealing pool over (fault, config) tasks) on a small DC-only
 // workload.
 func BenchmarkGenerateAllDC(b *testing.B) {
-	scfg := core.DefaultConfig()
-	scfg.BoxMode = core.BoxSeed
-	s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	faults := []fault.Fault{
 		fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3),
 		fault.NewBridge(macros.NodeVref, macros.NodeIin, 10e3),
@@ -275,10 +272,27 @@ func BenchmarkGenerateAllDC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.GenerateAll(faults); err != nil {
+		if _, err := freshDCSession(b).GenerateAll(faults); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// freshDCSession builds, with the timer stopped, the session that one op
+// of a DC generation benchmark runs on (configurations #1/#2, seed
+// boxes). A session simulates each distinct analysis once, so an op
+// repeated on one session would time memo lookups, not simulations.
+func freshDCSession(b *testing.B) *core.Session {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	scfg := core.DefaultConfig()
+	scfg.BoxMode = core.BoxSeed
+	s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 func BenchmarkAblationImpactSweep(b *testing.B) { benchExperiment(b, "ablation-impact") }

@@ -330,8 +330,8 @@ func run(ctx context.Context, o options) (err error) {
 	_, _ = st.WriteTo(os.Stdout)
 
 	ss := sys.Stats()
-	fmt.Printf("\nsimulation effort: %d nominal + %d faulty runs (%d cache hits, %d non-convergent faulty circuits)\n",
-		ss.NominalRuns, ss.FaultyRuns, ss.CacheHits, ss.FaultyFailures)
+	fmt.Printf("\nsimulation effort: %d nominal + %d faulty runs (%d cache hits, %d served by the analysis memo, %d non-convergent faulty circuits)\n",
+		ss.NominalRuns, ss.FaultyRuns, ss.CacheHits, ss.MemoHits, ss.FaultyFailures)
 	if ss.Retries > 0 || ss.Undetermined > 0 || ss.Quarantined > 0 {
 		fmt.Printf("resilience: %d optimizer retries, %d undetermined faults, %d quarantined tasks\n",
 			ss.Retries, ss.Undetermined, ss.Quarantined)

@@ -109,6 +109,10 @@ type workload struct {
 	// lat, when non-nil, is the per-op latency histogram the body records
 	// into; its p99 lands in the JSON next to ns/op.
 	lat *hist.Histogram
+	// untimed, when non-nil, is the kernel work the body did with the
+	// timer stopped (building each op's session); solver_per_op leaves
+	// it out.
+	untimed *sim.Counters
 }
 
 func main() {
@@ -130,6 +134,9 @@ func main() {
 			w.fn(b)
 		})
 		t := sim.Totals()
+		if w.untimed != nil {
+			t = t.Sub(*w.untimed)
+		}
 		n := float64(res.N)
 		r := result{
 			Name:        w.name,
@@ -348,30 +355,45 @@ func ladderCircuit() *circuit.Circuit {
 	return c
 }
 
+// freshSession builds, with the timer stopped, the session one op of a
+// generation workload runs on: configurations #1/#2 with seed boxes. A
+// session simulates each distinct analysis once, so an op repeated on
+// one session would time memo lookups, not simulations. The kernel work
+// of the construction is added to untimed.
+func freshSession(b *testing.B, scfg core.Config, untimed *sim.Counters) *core.Session {
+	b.StopTimer()
+	defer b.StartTimer()
+	before := sim.Totals()
+	s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	untimed.Add(sim.Totals().Sub(before))
+	return s
+}
+
 // impactSearchBody is the impact-search hot loop the low-rank path
 // targets: full test generation — per-config optimization plus the
 // relax/intensify impact ladder — for one bridging fault on the
-// IV-converter. The disable variant forces every faulty evaluation
-// through the throwaway insert+compile+factor route and is recorded as
-// baseline_pre_lowrank, so the JSON carries a machine-consistent before
-// and after of the same run. Workers=1 keeps the measurement a pure
-// single-thread comparison. When h is non-nil, every Generate records
-// its latency, so the report carries the distribution tail (p99)
-// alongside the mean.
-func impactSearchBody(disableFast bool, h *hist.Histogram) func(b *testing.B) {
+// IV-converter, on a fresh session per op. The disable variant forces
+// every faulty evaluation through the throwaway insert+compile+factor
+// route and is recorded as baseline_pre_lowrank, so the JSON carries a
+// machine-consistent before and after of the same run. Workers=1 keeps
+// the measurement a pure single-thread comparison. When h is non-nil,
+// every Generate records its latency, so the report carries the
+// distribution tail (p99) alongside the mean.
+func impactSearchBody(disableFast bool, h *hist.Histogram, untimed *sim.Counters) func(b *testing.B) {
 	return func(b *testing.B) {
 		scfg := core.DefaultConfig()
 		scfg.BoxMode = core.BoxSeed
 		scfg.Workers = 1
 		scfg.DisableFastPath = disableFast
-		s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
-		if err != nil {
-			b.Fatal(err)
-		}
 		f := fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)
 		b.ResetTimer()
 		sim.ResetTotals()
+		*untimed = sim.Counters{}
 		for i := 0; i < b.N; i++ {
+			s := freshSession(b, scfg, untimed)
 			t0 := time.Now()
 			if _, err := s.Generate(f); err != nil {
 				b.Fatal(err)
@@ -388,12 +410,46 @@ func impactSearchBody(disableFast bool, h *hist.Histogram) func(b *testing.B) {
 // variant doesn't — its distribution isn't reported).
 func impactSearchWorkload() workload {
 	h := hist.New()
+	untimed := new(sim.Counters)
 	return workload{
-		name: "impact_search",
-		desc: "impact-ladder search for one feedback bridge (retained low-rank evaluators)",
-		fn:   impactSearchBody(false, h),
-		slow: impactSearchBody(true, nil),
-		lat:  h,
+		name:    "impact_search",
+		desc:    "impact-ladder search for one feedback bridge (retained low-rank evaluators)",
+		fn:      impactSearchBody(false, h, untimed),
+		slow:    impactSearchBody(true, nil, new(sim.Counters)),
+		lat:     h,
+		untimed: untimed,
+	}
+}
+
+// coverageDCWorkload builds the coverage_dc row: test generation for
+// three faults under configurations #1/#2, on a fresh session per op.
+// Its pre-split baseline was measured with this body (1 s benchtime,
+// GOMAXPROCS=1); the same tree timed with the old body, which repeated
+// GenerateAll on one session, within 11 % of the number recorded for it.
+func coverageDCWorkload() workload {
+	untimed := new(sim.Counters)
+	return workload{
+		name: "coverage_dc",
+		desc: "DC fault-dictionary generation: 3 faults x 2 configs end to end",
+		base: &baseline{NsPerOp: 13492674, BytesPerOp: 6171507, AllocsPerOp: 64393},
+		fn: func(b *testing.B) {
+			scfg := core.DefaultConfig()
+			scfg.BoxMode = core.BoxSeed
+			faults := []fault.Fault{
+				fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3),
+				fault.NewBridge(macros.NodeVref, macros.NodeIin, 10e3),
+				fault.NewPinhole("M6", 2e3),
+			}
+			b.ResetTimer()
+			sim.ResetTotals()
+			*untimed = sim.Counters{}
+			for i := 0; i < b.N; i++ {
+				if _, err := freshSession(b, scfg, untimed).GenerateAll(faults); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+		untimed: untimed,
 	}
 }
 
@@ -547,30 +603,6 @@ func workloads() []workload {
 			},
 		},
 		impactSearchWorkload(),
-		{
-			name: "coverage_dc",
-			desc: "DC fault-dictionary generation: 3 faults x 2 configs end to end",
-			base: &baseline{NsPerOp: 9793904, BytesPerOp: 4176768, AllocsPerOp: 43896},
-			fn: func(b *testing.B) {
-				scfg := core.DefaultConfig()
-				scfg.BoxMode = core.BoxSeed
-				s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				faults := []fault.Fault{
-					fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3),
-					fault.NewBridge(macros.NodeVref, macros.NodeIin, 10e3),
-					fault.NewPinhole("M6", 2e3),
-				}
-				b.ResetTimer()
-				sim.ResetTotals()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.GenerateAll(faults); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
+		coverageDCWorkload(),
 	}
 }

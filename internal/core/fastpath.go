@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -54,10 +55,16 @@ const deepDetectSF = -100
 type faultEval struct {
 	s     *Session
 	f     fault.Fault
+	fid   string // f.ID(), resolved once
 	ci    int
 	ev    *testcfg.Evaluator
 	dev   string // fault resistor name, resolved once per fault
 	evals int
+	// memo routes cold runs through the analysis memo. It is off where
+	// the engine serves solves by the Woodbury update: those depend on
+	// the impact the retained base was factored at, so a memo entry
+	// could differ from the run it replaces.
+	memo bool
 }
 
 // newFaultEval builds the retained evaluator for (f, ci), or nil when
@@ -98,15 +105,15 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if err := ev.Engine().EnableLowRank(sim.Perturb{Device: dev, RowA: rows, RowB: cols, Vals: vals}); err != nil {
 		return nil
 	}
-	return &faultEval{s: s, f: f, ci: ci, ev: ev, dev: dev}
+	return &faultEval{s: s, f: f, fid: f.ID(), ci: ci, ev: ev, dev: dev, memo: !ev.Engine().WoodburyServes()}
 }
 
 // eval runs one faulty evaluation at the given impact on the retained
 // engine and folds it into S_f with exactly Session.Sensitivity's
-// arithmetic (same statements, same order). warm selects the warm-start
-// recipe; runErr distinguishes "the faulty circuit did not converge"
-// (reported via the sentinel by exact callers) from infrastructure
-// errors.
+// arithmetic. warm selects the warm-start recipe; cold runs go through
+// the analysis memo where eligible. runErr distinguishes "the faulty
+// circuit did not converge" (reported via the sentinel by exact callers)
+// from infrastructure errors, a memo CrossCheck mismatch included.
 func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, runErr error, err error) {
 	s := fe.s
 	nom, err := s.Nominal(fe.ci, T)
@@ -116,35 +123,41 @@ func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, r
 	if err := fe.ev.Retarget(fe.dev, impact); err != nil {
 		return 0, nil, err
 	}
-	if fe.evals > 0 {
-		// Every evaluation after the first skipped a full
-		// insert+clone+compile+factor cycle.
-		sim.AddFaultyFactorAvoided(1)
+	// retained counts one simulation on the retained engine.
+	retained := func() {
+		if fe.evals > 0 {
+			// Every evaluation after the first skipped a full
+			// insert+clone+compile+factor cycle.
+			sim.AddFaultyFactorAvoided(1)
+		}
+		fe.evals++
 	}
-	fe.evals++
-	s.faultyRuns.Add(1)
 	var rf []float64
-	if warm {
+	switch {
+	case warm:
+		retained()
+		s.faultyRuns.Add(1)
 		rf, runErr = fe.ev.RunWarm(T)
-	} else {
+	case fe.memo:
+		var served bool
+		rf, served, runErr = s.analyze(faultID(fe.f, fe.fid, impact), fe.ci, T,
+			func(cfgs []*testcfg.Config) ([][]float64, error) {
+				retained()
+				return fe.ev.RunGroup(cfgs, T)
+			})
+		if errors.Is(runErr, errMemoMismatch) {
+			return 0, nil, runErr
+		}
+		s.countFaulty(served)
+	default:
+		retained()
+		s.faultyRuns.Add(1)
 		rf, runErr = fe.ev.Run(T)
 	}
 	if runErr != nil {
 		return 0, runErr, nil
 	}
-	box := s.boxes[fe.ci].Halfwidths(T)
-	sf = math.Inf(1)
-	for i := range nom {
-		hw := box[i]
-		if hw <= 0 {
-			hw = 1e-12
-		}
-		v := 1 - math.Abs(rf[i]-nom[i])/hw
-		if v < sf {
-			sf = v
-		}
-	}
-	return sf, nil, nil
+	return s.score(fe.ci, T, nom, rf), nil, nil
 }
 
 // sensitivity is the exact fast-path evaluation: bit-identical to
@@ -172,7 +185,7 @@ func (fe *faultEval) sensitivity(impact float64, T []float64) (float64, error) {
 		sf = DetectedSentinel
 	}
 	if fe.s.cfg.CrossCheck {
-		slow, err := fe.s.Sensitivity(fe.ci, fe.f.WithImpact(impact), T)
+		slow, err := fe.s.sensitivity(fe.ci, fe.f.WithImpact(impact), T, false)
 		if err != nil {
 			return 0, fmt.Errorf("core: cross-check of %s under config #%d: %w",
 				fe.f.ID(), fe.s.configs[fe.ci].ID, err)

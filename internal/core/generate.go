@@ -149,7 +149,14 @@ func (s *Session) GenerateContext(ctx context.Context, f fault.Fault) (*Solution
 	if err != nil {
 		return nil, err
 	}
-	return s.selectTest(ctx, f, cands)
+	sol, err := s.selectTest(ctx, f, cands)
+	if err == nil {
+		err = s.memo.failure()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sol, nil
 }
 
 // optimizeCandidate runs step 1 for one (fault, configuration) pair.
@@ -676,6 +683,11 @@ func (s *Session) finishFault(ctx context.Context, f fault.Fault, cands []Candid
 			Candidates:  append([]Candidate(nil), cands...),
 		}
 	} else if err != nil {
+		return fmt.Errorf("core: fault %s: %w", f.ID(), err)
+	}
+	if err := s.memo.failure(); err != nil {
+		// Under a retry policy selection drops candidates whose
+		// evaluation failed; a CrossCheck mismatch must fail the run.
 		return fmt.Errorf("core: fault %s: %w", f.ID(), err)
 	}
 	if cs != nil {

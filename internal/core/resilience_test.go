@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/circuit"
+	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/macros"

@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -113,8 +114,10 @@ type Config struct {
 	DisableFastPath bool
 	// CrossCheck runs every fast-path sensitivity evaluation through the
 	// throwaway path as well and fails the run when the two disagree
-	// beyond 1e-9 — the debug mode backing the fast path's
-	// bit-transparency claim. Expensive; off by default.
+	// beyond 1e-9, and recomputes every analysis the memo serves on a
+	// freshly built circuit, failing the run on any bit difference — the
+	// debug mode backing the fast path's and the memo's transparency
+	// claims. Expensive; off by default.
 	CrossCheck bool
 	// StallTimeout arms the per-attempt stall watchdog: a fault×config
 	// optimization that produces no objective evaluations for this long
@@ -148,8 +151,9 @@ func DefaultConfig() Config {
 }
 
 // Session binds a golden macro netlist to its test configurations and
-// tolerance-box functions, and memoizes nominal responses in a sharded
-// single-flight cache. A Session is safe for concurrent use.
+// tolerance-box functions, memoizes nominal responses in a sharded
+// single-flight cache, and runs each distinct box-build and faulty
+// analysis once (memo.go). A Session is safe for concurrent use.
 type Session struct {
 	golden  *circuit.Circuit
 	configs []*testcfg.Config
@@ -159,10 +163,18 @@ type Session struct {
 	tr      *obs.Tracer   // nil: tracing disabled
 	prog    *obs.Progress // nil: progress tracking disabled
 
+	// groups are the configurations that share one simulation
+	// (testcfg.SharesAnalysis); configuration ci is
+	// groups[groupOf[ci]][memberOf[ci]].
+	groups            [][]*testcfg.Config
+	groupOf, memberOf []int
+	memo              *analysisMemo
+
 	nominalRuns atomic.Int64
 	cacheHits   atomic.Int64
 	faultyRuns  atomic.Int64
 	faultyFails atomic.Int64
+	memoHits    atomic.Int64
 
 	retries      atomic.Int64
 	undetermined atomic.Int64
@@ -182,11 +194,17 @@ type Session struct {
 type Stats struct {
 	// NominalRuns counts fault-free measurement simulations.
 	NominalRuns int64
-	// CacheHits counts nominal evaluations served from the memo
+	// CacheHits counts nominal evaluations served from the nominal cache
 	// (including callers that joined an in-flight simulation).
 	CacheHits int64
 	// FaultyRuns counts faulty-circuit measurement simulations.
 	FaultyRuns int64
+	// MemoHits counts the faulty measurements the analysis memo served
+	// without simulating: the same faulty circuit at the same parameters
+	// was already simulated for this configuration or for one sharing its
+	// analysis. NominalRuns + FaultyRuns + MemoHits is the simulation
+	// count of a session without the memo.
+	MemoHits int64
 	// FaultyFailures counts faulty runs that did not converge (reported
 	// as DetectedSentinel).
 	FaultyFailures int64
@@ -229,6 +247,7 @@ func (s *Session) Stats() Stats {
 		NominalRuns:    s.nominalRuns.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		FaultyRuns:     s.faultyRuns.Load(),
+		MemoHits:       s.memoHits.Load(),
 		FaultyFailures: s.faultyFails.Load(),
 		Retries:        s.retries.Load(),
 		Undetermined:   s.undetermined.Load(),
@@ -287,7 +306,9 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 			Workers:      cfg.Workers,
 			CacheEntries: cfg.CacheEntries,
 		}),
+		memo: newAnalysisMemo(),
 	}
+	s.groups, s.groupOf, s.memberOf = groupConfigs(configs)
 	s.eng.SetTracer(cfg.Tracer)
 	if cfg.Retry != nil {
 		// Install the policy's re-solve ladder as the simulation kernel's
@@ -373,16 +394,17 @@ func (s *Session) engineForEach(ctx context.Context, n int, fn func(ctx context.
 }
 
 // cornerDeviation runs the fault-free circuit at every corner and
-// returns the max deviation per return value at parameters T.
-func (s *Session) cornerDeviation(c *testcfg.Config, T []float64) ([]float64, error) {
-	nom, err := c.Run(s.golden, T)
+// returns the max deviation per return value of configuration ci at
+// parameters T. Every run goes through the analysis memo, so the
+// configurations of one group share their grid simulations.
+func (s *Session) cornerDeviation(ci int, T []float64) ([]float64, error) {
+	nom, _, err := s.analyze(goldenID, ci, T, nil)
 	if err != nil {
 		return nil, err
 	}
 	var corners [][]float64
 	for _, k := range s.cfg.Corners {
-		ck := tolerance.Apply(s.golden, k)
-		r, err := c.Run(ck, T)
+		r, _, err := s.analyze(cornerID(k), ci, T, nil)
 		if err != nil {
 			return nil, fmt.Errorf("corner %s: %w", k.Name, err)
 		}
@@ -404,7 +426,7 @@ func (s *Session) buildBoxes(ctx context.Context) ([]tolerance.BoxFunc, error) {
 		defer sp.End()
 		switch s.cfg.BoxMode {
 		case BoxSeed:
-			dev, err := s.cornerDeviation(c, c.Seeds())
+			dev, err := s.cornerDeviation(i, c.Seeds())
 			if err != nil {
 				return fmt.Errorf("core: box for config #%d: %w", c.ID, err)
 			}
@@ -436,7 +458,7 @@ func (s *Session) buildBoxes(ctx context.Context) ([]tolerance.BoxFunc, error) {
 		default: // BoxGrid
 			b := c.Bounds()
 			gb, err := tolerance.BuildGridBox(b.Lo, b.Hi, s.cfg.BoxGridN, c.Accuracies(),
-				func(T []float64) ([]float64, error) { return s.cornerDeviation(c, T) })
+				func(T []float64) ([]float64, error) { return s.cornerDeviation(i, T) })
 			if err != nil {
 				return fmt.Errorf("core: box for config #%d: %w", c.ID, err)
 			}
@@ -464,10 +486,15 @@ func nomKey(ci int, T []float64) string {
 // Nominal returns the fault-free return values of configuration ci at
 // parameters T, memoized in the sharded single-flight cache: concurrent
 // misses on the same parameter point run one simulation and share it.
+// A miss simulates without asking the analysis memo: which exact T
+// fills a quantized key depends on the order faults are generated in,
+// so a memo lookup here would make the simulation count depend on it
+// (DESIGN.md §16).
 func (s *Session) Nominal(ci int, T []float64) ([]float64, error) {
 	r, hit, err := s.eng.Cache().GetOrCompute(nomKey(ci, T), func() ([]float64, error) {
+		r, err := s.configs[ci].Run(s.golden, T)
 		s.nominalRuns.Add(1)
-		return s.configs[ci].Run(s.golden, T)
+		return r, err
 	})
 	if hit {
 		s.cacheHits.Add(1)
@@ -488,21 +515,63 @@ func (s *Session) Nominal(ci int, T []float64) ([]float64, error) {
 // circuit cannot be simulated, DetectedSentinel is returned (see its
 // doc).
 func (s *Session) Sensitivity(ci int, f fault.Fault, T []float64) (float64, error) {
+	return s.sensitivity(ci, f, T, true)
+}
+
+// sensitivity is Session.Sensitivity; with viaMemo false the faulty
+// circuit is simulated even when the analysis memo holds it (the slow
+// side of CrossCheck, which must not read the memo).
+func (s *Session) sensitivity(ci int, f fault.Fault, T []float64, viaMemo bool) (float64, error) {
 	nom, err := s.Nominal(ci, T)
 	if err != nil {
 		return 0, fmt.Errorf("core: nominal for config #%d at %v: %w", s.configs[ci].ID, T, err)
 	}
-	faulty, err := f.Insert(s.golden)
-	if err != nil {
+	var insertErr error
+	run := func(cfgs []*testcfg.Config) ([][]float64, error) {
+		ckt, err := f.Insert(s.golden)
+		if err != nil {
+			insertErr = err
+			return nil, err
+		}
+		return testcfg.RunGroup(cfgs, ckt, T)
+	}
+	var rf []float64
+	served := false
+	if viaMemo {
+		rf, served, err = s.analyze(faultID(f, f.ID(), f.Impact()), ci, T, run)
+	} else {
+		var all [][]float64
+		if all, err = run(s.configs[ci : ci+1]); err == nil {
+			rf = all[0]
+		}
+	}
+	if insertErr != nil {
+		return 0, insertErr
+	}
+	if errors.Is(err, errMemoMismatch) {
 		return 0, err
 	}
-	s.faultyRuns.Add(1)
-	rf, err := s.configs[ci].Run(faulty, T)
+	s.countFaulty(served)
 	if err != nil {
 		// Catastrophically broken circuit: counts as detected.
 		s.faultyFails.Add(1)
 		return DetectedSentinel, nil
 	}
+	return s.score(ci, T, nom, rf), nil
+}
+
+// countFaulty counts one faulty measurement: a simulation, or a memo hit.
+func (s *Session) countFaulty(served bool) {
+	if served {
+		s.memoHits.Add(1)
+	} else {
+		s.faultyRuns.Add(1)
+	}
+}
+
+// score folds a faulty response into S_f against the nominal response
+// and configuration ci's tolerance box at T.
+func (s *Session) score(ci int, T []float64, nom, rf []float64) float64 {
 	box := s.boxes[ci].Halfwidths(T)
 	sf := math.Inf(1)
 	for i := range nom {
@@ -515,7 +584,7 @@ func (s *Session) Sensitivity(ci int, f fault.Fault, T []float64) (float64, erro
 			sf = v
 		}
 	}
-	return sf, nil
+	return sf
 }
 
 // Detects reports whether configuration ci at parameters T detects fault

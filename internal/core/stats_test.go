@@ -22,7 +22,11 @@ func TestStatsCountSimulations(t *testing.T) {
 	if mid.NominalRuns != before.NominalRuns+1 {
 		t.Errorf("nominal runs %d -> %d, want +1", before.NominalRuns, mid.NominalRuns)
 	}
-	// Repeat at the same parameters: nominal is cached, faulty is not.
+	if mid.MemoHits != before.MemoHits {
+		t.Errorf("memo hits %d -> %d on fresh analyses", before.MemoHits, mid.MemoHits)
+	}
+	// Repeat at the same parameters: the nominal response comes from the
+	// nominal cache, the faulty one from the analysis memo.
 	if _, err := s.Sensitivity(0, f, T); err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +37,21 @@ func TestStatsCountSimulations(t *testing.T) {
 	if after.NominalRuns != mid.NominalRuns {
 		t.Error("cached nominal still counted as a run")
 	}
-	if after.FaultyRuns != mid.FaultyRuns+1 {
-		t.Error("second faulty run not counted")
+	if after.FaultyRuns != mid.FaultyRuns || after.MemoHits != mid.MemoHits+1 {
+		t.Errorf("repeated faulty analysis: runs %d -> %d, memo hits %d -> %d; want a memo hit",
+			mid.FaultyRuns, after.FaultyRuns, mid.MemoHits, after.MemoHits)
+	}
+	// Configuration #2 reads the faulty operating point #1 simulated, a
+	// memo hit. Its nominal response is a nominal-cache miss, and those
+	// simulate without asking the memo.
+	if _, err := s.Sensitivity(1, f, T); err != nil {
+		t.Fatal(err)
+	}
+	last := s.Stats()
+	if last.NominalRuns != after.NominalRuns+1 || last.FaultyRuns != after.FaultyRuns ||
+		last.MemoHits != after.MemoHits+1 {
+		t.Errorf("config #2 on #1's operating point: nominal %d -> %d, faulty %d -> %d, memo hits %d -> %d; want +1, +0, +1",
+			after.NominalRuns, last.NominalRuns, after.FaultyRuns, last.FaultyRuns, after.MemoHits, last.MemoHits)
 	}
 }
 

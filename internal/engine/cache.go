@@ -7,13 +7,15 @@ import (
 )
 
 // Cache is a sharded, size-bounded, single-flight memo for simulation
-// responses. Keys are quantized parameter strings; values are response
-// vectors. Sharding by FNV-1a hash replaces the single global mutex the
-// nominal cache used to serialize on; single-flight guarantees that
-// concurrent misses on the same key run the underlying simulation once,
-// with every waiter sharing the result.
-type Cache struct {
-	shards []cacheShard
+// responses: the engine's nominal cache (quantized parameter keys,
+// response vectors) and the session's analysis memo (exact keys, one
+// response per configuration of a group) are both Caches. Sharding by
+// FNV-1a hash replaces the single global mutex the nominal cache used to
+// serialize on; single-flight guarantees that concurrent misses on the
+// same key run the underlying simulation once, with every waiter sharing
+// the result.
+type Cache[V any] struct {
+	shards []cacheShard[V]
 	mask   uint32
 	// perShard bounds the entry count of each shard; a full shard evicts
 	// an arbitrary entry before inserting.
@@ -25,22 +27,24 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
-type cacheShard struct {
+type cacheShard[V any] struct {
 	mu      sync.Mutex
-	entries map[string][]float64
-	flights map[string]*flight
+	entries map[string]V
+	flights map[string]*flight[V]
 }
 
-// flight is one in-progress computation; waiters block on done.
-type flight struct {
-	done chan struct{}
-	val  []float64
-	err  error
+// flight is one in-progress computation; waiters block on wg, which
+// the computing caller releases once val and err are set. A WaitGroup
+// inside the flight, unlike a channel, costs no allocation of its own.
+type flight[V any] struct {
+	wg  sync.WaitGroup
+	val V
+	err error
 }
 
-// newCache builds a cache with the given total entry bound and shard
+// NewCache builds a cache with the given total entry bound and shard
 // count (both defaulted when <= 0; shards rounds up to a power of two).
-func newCache(entries, shards int) *Cache {
+func NewCache[V any](entries, shards int) *Cache[V] {
 	if entries <= 0 {
 		entries = 65536
 	}
@@ -55,10 +59,10 @@ func newCache(entries, shards int) *Cache {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &Cache{shards: make([]cacheShard, n), mask: uint32(n - 1), perShard: perShard}
+	c := &Cache[V]{shards: make([]cacheShard[V], n), mask: uint32(n - 1), perShard: perShard}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[string][]float64)
-		c.shards[i].flights = make(map[string]*flight)
+		c.shards[i].entries = make(map[string]V)
+		c.shards[i].flights = make(map[string]*flight[V])
 	}
 	return c
 }
@@ -78,7 +82,7 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-func (c *Cache) shard(key string) *cacheShard {
+func (c *Cache[V]) shard(key string) *cacheShard[V] {
 	return &c.shards[fnv32a(key)&c.mask]
 }
 
@@ -92,8 +96,8 @@ func (c *Cache) shard(key string) *cacheShard {
 // A panic inside compute is fatal to the calling task only: the in-flight
 // entry is resolved with an error before the panic is re-raised, so
 // goroutines that joined the flight unblock with that error instead of
-// waiting forever on a channel nobody will close.
-func (c *Cache) GetOrCompute(key string, compute func() ([]float64, error)) (val []float64, hit bool, err error) {
+// waiting forever on a flight nobody will release.
+func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (val V, hit bool, err error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if v, ok := sh.entries[key]; ok {
@@ -104,13 +108,14 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]float64, error)) (val
 	if fl, ok := sh.flights[key]; ok {
 		sh.mu.Unlock()
 		c.shared.Add(1)
-		<-fl.done
+		fl.wg.Wait()
 		if fl.err != nil {
-			return nil, false, fl.err
+			return val, false, fl.err
 		}
 		return fl.val, true, nil
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight[V]{}
+	fl.wg.Add(1)
 	sh.flights[key] = fl
 	sh.mu.Unlock()
 	c.misses.Add(1)
@@ -126,7 +131,7 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]float64, error)) (val
 		sh.mu.Lock()
 		delete(sh.flights, key)
 		sh.mu.Unlock()
-		close(fl.done)
+		fl.wg.Done()
 	}()
 	fl.val, fl.err = compute()
 	panicked = false
@@ -144,12 +149,12 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]float64, error)) (val
 		sh.entries[key] = fl.val
 	}
 	sh.mu.Unlock()
-	close(fl.done)
+	fl.wg.Done()
 	return fl.val, false, fl.err
 }
 
 // Len returns the current number of cached entries across all shards.
-func (c *Cache) Len() int {
+func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -186,7 +191,7 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Stats snapshots the cache counters.
-func (c *Cache) Stats() CacheStats {
+func (c *Cache[V]) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

@@ -18,7 +18,7 @@ func benchKeys(n int) []string {
 // BenchmarkCacheHitParallelSharded is the engine's sharded single-flight
 // cache on the pure hit path under full parallelism.
 func BenchmarkCacheHitParallelSharded(b *testing.B) {
-	c := newCache(1<<16, 32)
+	c := NewCache[[]float64](1<<16, 32)
 	keys := benchKeys(256)
 	for _, k := range keys {
 		_, _, _ = c.GetOrCompute(k, func() ([]float64, error) { return []float64{1}, nil })

@@ -55,7 +55,7 @@ type Options struct {
 // cache and a metrics registry. An Engine is safe for concurrent use.
 type Engine struct {
 	workers     int
-	cache       *Cache
+	cache       *Cache[[]float64]
 	phases      sync.Map // string -> *phase
 	solverSrc   atomic.Pointer[func() SolverStats]
 	durationSrc atomic.Pointer[func() []hist.NamedSnapshot]
@@ -78,7 +78,7 @@ func New(o Options) *Engine {
 	}
 	return &Engine{
 		workers: o.Workers,
-		cache:   newCache(o.CacheEntries, o.CacheShards),
+		cache:   NewCache[[]float64](o.CacheEntries, o.CacheShards),
 	}
 }
 
@@ -86,7 +86,7 @@ func New(o Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the engine's sharded response cache.
-func (e *Engine) Cache() *Cache { return e.cache }
+func (e *Engine) Cache() *Cache[[]float64] { return e.cache }
 
 // span is a contiguous index range owned by one worker. The owner pops
 // from the front, thieves steal from the back, so owner and thief only

@@ -111,7 +111,7 @@ func TestForEachMidRunCancellation(t *testing.T) {
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := newCache(1024, 8)
+	c := NewCache[[]float64](1024, 8)
 	var computes atomic.Int32
 	var wg sync.WaitGroup
 	const callers = 32
@@ -150,7 +150,7 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheConcurrentShards(t *testing.T) {
 	// Hammer many keys from many goroutines under -race: every lookup
 	// must return the right value and the counters must balance.
-	c := newCache(1<<14, 16)
+	c := NewCache[[]float64](1<<14, 16)
 	const keys = 200
 	var wg sync.WaitGroup
 	var lookups atomic.Int64
@@ -186,7 +186,7 @@ func TestCacheConcurrentShards(t *testing.T) {
 }
 
 func TestCacheSizeBound(t *testing.T) {
-	c := newCache(64, 4) // 16 entries per shard
+	c := NewCache[[]float64](64, 4) // 16 entries per shard
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, _, err := c.GetOrCompute(key, func() ([]float64, error) {
@@ -204,7 +204,7 @@ func TestCacheSizeBound(t *testing.T) {
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newCache(64, 4)
+	c := NewCache[[]float64](64, 4)
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {

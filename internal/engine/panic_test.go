@@ -111,7 +111,7 @@ func TestForEachQuarantineViaRecover(t *testing.T) {
 // resolves the single-flight entry with an error (waiters do not deadlock)
 // and re-raises so the task boundary still sees the panic.
 func TestCachePanicUnblocksWaiters(t *testing.T) {
-	c := newCache(16, 1)
+	c := NewCache[[]float64](16, 1)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 

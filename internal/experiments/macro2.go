@@ -68,7 +68,7 @@ func (r *Runner) Macro2() error {
 	fmt.Fprintf(w, "\ncompacted: %d tests, coverage %.1f %% (%d/%d)\n",
 		len(cts), cov.Percent(), cov.Detected, cov.Total)
 	st := s.Stats()
-	fmt.Fprintf(w, "simulation effort: %d nominal + %d faulty runs (%d cache hits)\n",
-		st.NominalRuns, st.FaultyRuns, st.CacheHits)
+	fmt.Fprintf(w, "simulation effort: %d nominal + %d faulty runs (%d cache hits, %d served by the analysis memo)\n",
+		st.NominalRuns, st.FaultyRuns, st.CacheHits, st.MemoHits)
 	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,7 @@ type shardDelivery struct {
 // workerState is the registry entry of one live worker.
 type workerState struct {
 	id       string
+	seq      int // registration number: id is "w<seq>"
 	name     string
 	pid      int
 	joined   time.Time
@@ -146,11 +148,22 @@ func (c *coordinator) await() <-chan struct{} {
 }
 
 // attach registers an active distributed run's journal emitter;
-// detach removes it.
+// detach removes it. The run first receives one worker_join for every
+// worker already registered, in worker-ID order, so its journal names
+// the whole fleet it ran on whatever the join order; workers that
+// register later reach it through notifyRunsLocked.
 func (c *coordinator) attach(jobID string, notify func(string, ...obs.Attr)) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	fleet := make([]*workerState, 0, len(c.workers))
+	for _, w := range c.workers {
+		fleet = append(fleet, w)
+	}
+	sort.Slice(fleet, func(a, b int) bool { return fleet[a].seq < fleet[b].seq })
+	for _, w := range fleet {
+		notify("worker_join", joinAttrs(w)...)
+	}
 	c.runs[jobID] = notify
-	c.mu.Unlock()
 }
 
 func (c *coordinator) detach(jobID string) {
@@ -168,6 +181,11 @@ func (c *coordinator) notifyRunsLocked(name string, attrs ...obs.Attr) {
 	}
 }
 
+// joinAttrs are the attributes of a worker's worker_join event.
+func joinAttrs(w *workerState) []obs.Attr {
+	return []obs.Attr{obs.String("worker", w.name), obs.Int("pid", w.pid)}
+}
+
 // register admits a worker and mints its identity.
 func (c *coordinator) register(hello api.WorkerHello) api.WorkerWelcome {
 	c.mu.Lock()
@@ -179,8 +197,9 @@ func (c *coordinator) register(hello api.WorkerHello) api.WorkerWelcome {
 		name = id
 	}
 	now := time.Now()
-	c.workers[id] = &workerState{id: id, name: name, pid: hello.PID, joined: now, lastSeen: now}
-	c.notifyRunsLocked("worker_join", obs.String("worker", name), obs.Int("pid", hello.PID))
+	w := &workerState{id: id, seq: c.seq, name: name, pid: hello.PID, joined: now, lastSeen: now}
+	c.workers[id] = w
+	c.notifyRunsLocked("worker_join", joinAttrs(w)...)
 	c.wakeLocked() // an idle fleet may have pollers parked on an empty queue
 	return api.WorkerWelcome{
 		V:        api.Version,

@@ -133,6 +133,13 @@ func (e *Engine) EnableLowRank(p Perturb) error {
 // LowRankEnabled reports whether a perturbation is registered.
 func (e *Engine) LowRankEnabled() bool { return e.lr != nil }
 
+// WoodburyServes reports whether operating points (standalone or as a
+// transient's starting point) go through the Woodbury update against
+// the retained base. Such a solve depends on the impact at which the
+// base was factored, not only on the circuit's current values, so it is
+// not interchangeable with a fresh engine's solve bit for bit.
+func (e *Engine) WoodburyServes() bool { return e.lr != nil && e.matrixInvariant() }
+
 // matrixInvariant reports whether the engine's OP matrix is independent
 // of the solution estimate: no nonlinear stampers and no legacy dynamics.
 // Only then is one retained factorization valid for every Newton "
@@ -193,13 +200,13 @@ func (e *Engine) woodburyOP(x []float64) error {
 // impact steps. Valid for matrix-invariant (linear) circuits, whose AC
 // linearization does not depend on the operating point.
 type ACFaultSweep struct {
-	eng    *Engine
-	sw     *ACSweep
-	freqs  []float64
-	omegas []float64
-	sys    []*mna.ComplexSystem
-	gBase  []float64
-	dy     []complex128
+	eng     *Engine
+	sw      *ACSweep
+	freqs   []float64
+	omegas  []float64
+	sys     []*mna.ComplexSystem
+	gBase   []float64
+	dy      []complex128
 	scratch []complex128
 }
 

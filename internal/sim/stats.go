@@ -60,8 +60,8 @@ func (c *Counters) Add(d Counters) {
 	c.FaultyFactorAvoided += d.FaultyFactorAvoided
 }
 
-// sub returns c − d (no underflow checking; d is always a prefix of c).
-func (c Counters) sub(d Counters) Counters {
+// Sub returns c − d (no underflow checking; d is always a prefix of c).
+func (c Counters) Sub(d Counters) Counters {
 	return Counters{
 		Stamps:           c.Stamps - d.Stamps,
 		Factorizations:   c.Factorizations - d.Factorizations,
@@ -147,7 +147,7 @@ func ResetTotals() {
 // into the package totals. Called at solve boundaries, not per
 // iteration.
 func (e *Engine) flushStats() {
-	d := e.stats.sub(e.flushed)
+	d := e.stats.Sub(e.flushed)
 	if d == (Counters{}) {
 		return
 	}

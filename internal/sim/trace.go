@@ -76,7 +76,7 @@ func (e *Engine) traceStart() (*TraceHook, time.Time, Counters) {
 // histograms and, when one is registered, reports it to the hook.
 func (e *Engine) traceEnd(h *TraceHook, analysis string, t0 time.Time, pre Counters) {
 	d := time.Since(t0)
-	delta := e.stats.sub(pre)
+	delta := e.stats.Sub(pre)
 	if hg := analysisWall[analysis]; hg != nil {
 		hg.RecordDuration(d)
 	} else {

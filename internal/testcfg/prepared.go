@@ -17,13 +17,43 @@ import (
 // (and, through Engine.Retarget, the fault resistance) before re-running
 // the recipe.
 //
-// Bit-identity is the design constraint, not an afterthought: a
-// configuration's run body is *derived* from its prep closure (see
-// preppedRunner), so the throwaway path and the retained path execute
-// the same statements on the same engine code. The retained engine's
-// snapshot caches are invalidated by Retarget and rebuilt by replaying
-// the same device stamps from a zeroed matrix, which the simulation
-// kernel guarantees to be bit-identical to a freshly built engine.
+// Bit-identity is the design constraint, not an afterthought: Config.Run
+// prepares the same evaluator on its clone and runs it once (RunGroup), so
+// the throwaway path and the retained path execute the same statements
+// on the same engine code. The retained engine's snapshot caches are
+// invalidated by Retarget and rebuilt by replaying the same device
+// stamps from a zeroed matrix, which the simulation kernel guarantees to
+// be bit-identical to a freshly built engine.
+
+// analysis is the simulate step of built-in configurations: prep builds
+// an evaluator that applies the stimulus for T to a compiled circuit and
+// runs one simulation. Configurations sharing an analysis differ only in
+// their measure step, so one simulation serves all of them.
+type analysis struct {
+	prep func(ckt *circuit.Circuit) (*Evaluator, error)
+}
+
+// outcome is what one simulation hands the measure steps: the engine and
+// solution vector of an operating point, or the observed Vout samples of
+// a transient. Measures only read it.
+type outcome struct {
+	eng *sim.Engine
+	x   []float64
+	v   []float64
+}
+
+// measureAll reduces one outcome to every configuration's return values.
+func measureAll(cfgs []*Config, o outcome) ([][]float64, error) {
+	out := make([][]float64, len(cfgs))
+	for i, c := range cfgs {
+		r, err := c.measure(o)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
 
 // Evaluator is a retained-engine evaluation handle for one configuration
 // bound to one compiled circuit. It is not safe for concurrent use —
@@ -31,31 +61,31 @@ import (
 type Evaluator struct {
 	cfg *Config
 	eng *sim.Engine
-	// run executes the configuration recipe exactly as Config.Run would:
-	// a cold solve with no state carried across calls.
-	run func(T []float64) ([]float64, error)
-	// runWarm, when non-nil, is the recipe with the previous solution as
-	// the Newton seed. Converges to the same fixed point within solver
-	// tolerance, but is not bit-identical to run; callers that need exact
-	// results must use Run.
-	runWarm func(T []float64) ([]float64, error)
+	// cold runs the simulation exactly as Config.Run would: no state
+	// carried across calls.
+	cold func(T []float64) (outcome, error)
+	// warm, when non-nil, runs it with the previous solution as the
+	// Newton seed. Converges to the same fixed point within solver
+	// tolerance, but is not bit-identical to cold; callers that need
+	// exact results must use Run.
+	warm func(T []float64) (outcome, error)
 }
 
 // CanPrepare reports whether the configuration supports retained-engine
-// evaluation. Custom runners (NewCustom) do not.
-func (c *Config) CanPrepare() bool { return c.prep != nil }
+// evaluation. Custom runners (NewCustom) and DSL configurations do not.
+func (c *Config) CanPrepare() bool { return c.an != nil }
 
 // Prepare validates the macro interface, clones the circuit once, and
 // builds a retained evaluator. The clone is owned by the evaluator; the
 // input circuit is never modified.
 func (c *Config) Prepare(ckt *circuit.Circuit) (*Evaluator, error) {
-	if c.prep == nil {
+	if c.an == nil {
 		return nil, fmt.Errorf("testcfg %s: configuration has no prepared evaluator", c.Name)
 	}
 	if err := ValidateMacro(ckt); err != nil {
 		return nil, err
 	}
-	ev, err := c.prep(ckt.Clone())
+	ev, err := c.an.prep(ckt.Clone())
 	if err != nil {
 		return nil, err
 	}
@@ -74,57 +104,47 @@ func (ev *Evaluator) Retarget(name string, r float64) error {
 	return ev.eng.Retarget(name, r)
 }
 
-// check mirrors Config.Run's parameter validation so the evaluator
-// errors exactly where the throwaway path would.
-func (ev *Evaluator) check(T []float64) error {
-	c := ev.cfg
-	if len(T) != len(c.Params) {
-		return fmt.Errorf("testcfg %s: parameter vector length %d, want %d", c.Name, len(T), len(c.Params))
-	}
-	for i, p := range c.Params {
-		if T[i] < p.Lo-1e-12 || T[i] > p.Hi+1e-12 {
-			return fmt.Errorf("testcfg %s: parameter %s=%g outside [%g, %g]", c.Name, p.Name, T[i], p.Lo, p.Hi)
-		}
-	}
-	return nil
-}
-
 // Run evaluates the configuration at T on the retained engine with cold
 // solver state: the result is bit-identical to Config.Run on an
 // identically valued circuit.
 func (ev *Evaluator) Run(T []float64) ([]float64, error) {
-	if err := ev.check(T); err != nil {
+	r, err := ev.RunGroup([]*Config{ev.cfg}, T)
+	if err != nil {
 		return nil, err
 	}
-	return ev.run(T)
+	return r[0], nil
+}
+
+// RunGroup is Run for every configuration of cfgs, which must share the
+// evaluator's analysis: one cold simulation, each configuration's return
+// values bit-identical to RunGroup on an identically valued circuit.
+func (ev *Evaluator) RunGroup(cfgs []*Config, T []float64) ([][]float64, error) {
+	if err := ev.cfg.Check(T); err != nil {
+		return nil, err
+	}
+	o, err := ev.cold(T)
+	if err != nil {
+		return nil, err
+	}
+	return measureAll(cfgs, o)
 }
 
 // HasWarm reports whether the configuration has a warm-start recipe.
-func (ev *Evaluator) HasWarm() bool { return ev.runWarm != nil }
+func (ev *Evaluator) HasWarm() bool { return ev.warm != nil }
 
 // RunWarm evaluates at T reusing the previous solution as the Newton
 // seed. The result agrees with Run to solver tolerance but is not
 // bit-identical; configurations without a warm recipe fall back to Run.
 func (ev *Evaluator) RunWarm(T []float64) ([]float64, error) {
-	if ev.runWarm == nil {
+	if ev.warm == nil {
 		return ev.Run(T)
 	}
-	if err := ev.check(T); err != nil {
+	if err := ev.cfg.Check(T); err != nil {
 		return nil, err
 	}
-	return ev.runWarm(T)
-}
-
-// preppedRunner derives a throwaway Runner from a prep closure: build
-// the evaluator on the (already cloned) circuit and run it once. Using
-// the same closure for both paths is what makes retained evaluation
-// bit-identical to Config.Run by construction.
-func preppedRunner(prep func(*circuit.Circuit) (*Evaluator, error)) Runner {
-	return func(ckt *circuit.Circuit, T []float64) ([]float64, error) {
-		ev, err := prep(ckt)
-		if err != nil {
-			return nil, err
-		}
-		return ev.run(T)
+	o, err := ev.warm(T)
+	if err != nil {
+		return nil, err
 	}
+	return ev.cfg.measure(o)
 }

@@ -60,12 +60,13 @@ type Config struct {
 	Observe string
 	Params  []Param
 	Returns []Return
+	// A built-in configuration is a simulate step (an, shared by every
+	// configuration that applies the same stimulus to the same observed
+	// signal) followed by its own measure step; a custom or DSL
+	// configuration is an opaque runner instead (an == nil).
+	an      *analysis
+	measure func(o outcome) ([]float64, error)
 	run     Runner
-	// prep, when non-nil, builds a retained-engine evaluator for the
-	// impact-search fast path (see prepared.go). The run field of the
-	// built-in configurations is derived from prep, so both paths execute
-	// the same recipe code.
-	prep func(*circuit.Circuit) (*Evaluator, error)
 }
 
 // NewCustom builds a configuration around a caller-supplied runner. It
@@ -98,22 +99,75 @@ func ValidateMacro(ckt *circuit.Circuit) error {
 	return nil
 }
 
+// Check validates a parameter vector against the configuration's
+// parameter count and constraint box.
+func (c *Config) Check(T []float64) error {
+	if len(T) != len(c.Params) {
+		return fmt.Errorf("testcfg %s: parameter vector length %d, want %d", c.Name, len(T), len(c.Params))
+	}
+	for i, p := range c.Params {
+		if T[i] < p.Lo-1e-12 || T[i] > p.Hi+1e-12 {
+			return fmt.Errorf("testcfg %s: parameter %s=%g outside [%g, %g]", c.Name, p.Name, T[i], p.Lo, p.Hi)
+		}
+	}
+	return nil
+}
+
 // Run clones the circuit, applies the stimulus for parameter vector T and
 // returns the measured return values. The input circuit is not modified,
 // so nominal, faulty and corner variants can share one golden netlist.
 func (c *Config) Run(ckt *circuit.Circuit, T []float64) ([]float64, error) {
-	if len(T) != len(c.Params) {
-		return nil, fmt.Errorf("testcfg %s: parameter vector length %d, want %d", c.Name, len(T), len(c.Params))
+	r, err := RunGroup([]*Config{c}, ckt, T)
+	if err != nil {
+		return nil, err
 	}
-	for i, p := range c.Params {
-		if T[i] < p.Lo-1e-12 || T[i] > p.Hi+1e-12 {
-			return nil, fmt.Errorf("testcfg %s: parameter %s=%g outside [%g, %g]", c.Name, p.Name, T[i], p.Lo, p.Hi)
+	return r[0], nil
+}
+
+// SharesAnalysis reports whether a and b apply the same stimulus to the
+// same observed signal over the same parameter box and differ only in
+// post-processing, so that one simulation yields the return values of
+// both. Only built-in configurations share; custom and DSL ones are
+// always alone.
+func SharesAnalysis(a, b *Config) bool {
+	if a.an == nil || a.an != b.an || len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i, p := range a.Params {
+		if p.Lo != b.Params[i].Lo || p.Hi != b.Params[i].Hi {
+			return false
 		}
+	}
+	return true
+}
+
+// RunGroup is Config.Run for configurations that share one analysis:
+// it clones the circuit, runs the shared simulation once at T and
+// returns each configuration's return values, in order — each
+// bit-identical to that configuration's own Run. cfgs[0] validates T;
+// every other entry must share its analysis (SharesAnalysis). A
+// built-in configuration runs through a throwaway Evaluator, so the
+// throwaway and the retained path are one piece of code.
+func RunGroup(cfgs []*Config, ckt *circuit.Circuit, T []float64) ([][]float64, error) {
+	c := cfgs[0]
+	if c.an != nil {
+		ev, err := c.Prepare(ckt)
+		if err != nil {
+			return nil, err
+		}
+		return ev.RunGroup(cfgs, T)
+	}
+	if err := c.Check(T); err != nil {
+		return nil, err
 	}
 	if err := ValidateMacro(ckt); err != nil {
 		return nil, err
 	}
-	return c.run(ckt.Clone(), T)
+	r, err := c.run(ckt.Clone(), T)
+	if err != nil {
+		return nil, err
+	}
+	return [][]float64{r}, nil
 }
 
 // Bounds returns the constraint box of the parameter space.
@@ -202,50 +256,54 @@ func ByID(cfgs []*Config, id int) *Config {
 	return nil
 }
 
-// opPrep builds the shared retained-evaluator skeleton of the two DC
-// operating-point configurations (#1, #2): an engine on the compiled
-// circuit, a cold recipe (zeroed Newton guess, bit-identical to a fresh
-// engine) and a warm recipe (previous solution as the seed). measure
-// reads the return values out of a solution vector.
-func opPrep(measure func(e *sim.Engine, x []float64) ([]float64, error)) func(*circuit.Circuit) (*Evaluator, error) {
-	return func(ckt *circuit.Circuit) (*Evaluator, error) {
-		e, err := sim.New(ckt, simOptions())
-		if err != nil {
-			return nil, err
-		}
-		x := make([]float64, e.Layout().Dim())
-		wx := make([]float64, e.Layout().Dim())
-		cold := func(T []float64) ([]float64, error) {
-			macros.SetInputWave(ckt, wave.DC(T[0]))
-			for i := range x {
-				x[i] = 0
-			}
-			if err := e.OperatingPointInto(x); err != nil {
-				return nil, err
-			}
-			return measure(e, x)
-		}
-		warm := func(T []float64) ([]float64, error) {
-			macros.SetInputWave(ckt, wave.DC(T[0]))
-			if err := e.OperatingPointInto(wx); err != nil {
-				// Don't leave a diverged iterate as the next seed.
-				for i := range wx {
-					wx[i] = 0
-				}
-				return nil, err
-			}
-			return measure(e, wx)
-		}
-		return &Evaluator{eng: e, run: cold, runWarm: warm}, nil
+// The shared analyses of the built-in configurations. Configurations
+// that point at the same analysis form one simulation group in a
+// session (SharesAnalysis): #1/#2 read one DC operating point, #4/#5
+// reduce one sampled step transient; #3 stands alone.
+var (
+	dcOperatingPoint = &analysis{prep: opPrep}
+	sineTransient    = &analysis{prep: sinePrep}
+	stepTransient    = &analysis{prep: stepPrep}
+)
+
+// opPrep is the simulate step of the DC configurations (#1, #2): an
+// engine on the compiled circuit with a cold recipe (zeroed Newton
+// guess, bit-identical to a fresh engine) and a warm recipe (previous
+// solution as the seed).
+func opPrep(ckt *circuit.Circuit) (*Evaluator, error) {
+	e, err := sim.New(ckt, simOptions())
+	if err != nil {
+		return nil, err
 	}
+	x := make([]float64, e.Layout().Dim())
+	wx := make([]float64, e.Layout().Dim())
+	cold := func(T []float64) (outcome, error) {
+		macros.SetInputWave(ckt, wave.DC(T[0]))
+		for i := range x {
+			x[i] = 0
+		}
+		if err := e.OperatingPointInto(x); err != nil {
+			return outcome{}, err
+		}
+		return outcome{eng: e, x: x}, nil
+	}
+	warm := func(T []float64) (outcome, error) {
+		macros.SetInputWave(ckt, wave.DC(T[0]))
+		if err := e.OperatingPointInto(wx); err != nil {
+			// Don't leave a diverged iterate as the next seed.
+			for i := range wx {
+				wx[i] = 0
+			}
+			return outcome{}, err
+		}
+		return outcome{eng: e, x: wx}, nil
+	}
+	return &Evaluator{eng: e, cold: cold, warm: warm}, nil
 }
 
 // dcOutConfig is configuration #1: a DC current level applied at Iin, DC
 // voltage measured at Vout. One parameter.
 func dcOutConfig() *Config {
-	prep := opPrep(func(e *sim.Engine, x []float64) ([]float64, error) {
-		return []float64{e.Voltage(x, macros.NodeVout)}, nil
-	})
 	return &Config{
 		ID:       1,
 		Name:     "dc-out",
@@ -256,21 +314,16 @@ func dcOutConfig() *Config {
 			{Name: "Iindc", Unit: "A", Lo: 0, Hi: 100e-6, Seed: 20e-6},
 		},
 		Returns: []Return{{Name: "V(Vout)", Unit: "V", Accuracy: 1e-3}},
-		run:     preppedRunner(prep),
-		prep:    prep,
+		an:      dcOperatingPoint,
+		measure: func(o outcome) ([]float64, error) {
+			return []float64{o.eng.Voltage(o.x, macros.NodeVout)}, nil
+		},
 	}
 }
 
 // supplyCurrentConfig is configuration #2: a DC current level applied at
 // Iin, the Vdd supply current measured. One parameter.
 func supplyCurrentConfig() *Config {
-	prep := opPrep(func(e *sim.Engine, x []float64) ([]float64, error) {
-		i, err := e.BranchCurrent(x, macros.SupplySourceName)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{-i}, nil
-	})
 	return &Config{
 		ID:       2,
 		Name:     "supply-current",
@@ -281,8 +334,14 @@ func supplyCurrentConfig() *Config {
 			{Name: "Iindc", Unit: "A", Lo: 0, Hi: 100e-6, Seed: 20e-6},
 		},
 		Returns: []Return{{Name: "I(Vdd)", Unit: "A", Accuracy: 0.2e-6}},
-		run:     preppedRunner(prep),
-		prep:    prep,
+		an:      dcOperatingPoint,
+		measure: func(o outcome) ([]float64, error) {
+			i, err := o.eng.BranchCurrent(o.x, macros.SupplySourceName)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{-i}, nil
+		},
 	}
 }
 
@@ -301,21 +360,32 @@ func thdConfig() *Config {
 			{Name: "freq", Unit: "Hz", Lo: 1e3, Hi: 100e3, Seed: 10e3},
 		},
 		Returns: []Return{{Name: "THD(Vout)", Unit: "%", Accuracy: 0.02}},
-		run:     preppedRunner(thdPrep),
-		prep:    thdPrep,
+		an:      sineTransient,
+		measure: func(o outcome) ([]float64, error) {
+			n := thdMeasurePeriods * thdStepsPerPeriod
+			if len(o.v) < n {
+				return nil, fmt.Errorf("testcfg thd: trace too short (%d < %d)", len(o.v), n)
+			}
+			thd, err := dsp.THDPercent(o.v[len(o.v)-n:], thdMeasurePeriods, thdMaxHarmonic)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{thd}, nil
+		},
 	}
 }
 
-// thdPrep is the retained-evaluator recipe of configuration #3. A
-// transient analysis keeps no state across calls (operating point, step
-// history and companion states are rebuilt per run), so the retained
-// path needs no cold/warm split: every run is exact.
-func thdPrep(ckt *circuit.Circuit) (*Evaluator, error) {
+// sinePrep is the simulate step of configuration #3: the sine stimulus
+// and a Vout trace over the warm-up and measured periods. A transient
+// analysis keeps no state across calls (operating point, step history
+// and companion states are rebuilt per run), so it needs no cold/warm
+// split: every run is exact.
+func sinePrep(ckt *circuit.Circuit) (*Evaluator, error) {
 	e, err := sim.New(ckt, simOptions())
 	if err != nil {
 		return nil, err
 	}
-	run := func(T []float64) ([]float64, error) {
+	run := func(T []float64) (outcome, error) {
 		iindc, freq := T[0], T[1]
 		macros.SetInputWave(ckt, wave.Sine{Offset: iindc, Amplitude: 5e-6, Freq: freq})
 		period := 1 / freq
@@ -323,49 +393,35 @@ func thdPrep(ckt *circuit.Circuit) (*Evaluator, error) {
 		dt := period / thdStepsPerPeriod
 		tr, err := e.Transient(float64(total)*period, dt, []string{macros.NodeVout})
 		if err != nil {
-			return nil, err
+			return outcome{}, err
 		}
-		v := tr.Signal(macros.NodeVout)
-		n := thdMeasurePeriods * thdStepsPerPeriod
-		if len(v) < n {
-			return nil, fmt.Errorf("testcfg thd: trace too short (%d < %d)", len(v), n)
-		}
-		tail := v[len(v)-n:]
-		thd, err := dsp.THDPercent(tail, thdMeasurePeriods, thdMaxHarmonic)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{thd}, nil
+		return outcome{v: tr.Signal(macros.NodeVout)}, nil
 	}
-	return &Evaluator{eng: e, run: run}, nil
+	return &Evaluator{eng: e, cold: run}, nil
 }
 
-// stepPrep builds the retained evaluator shared by configurations #4/#5:
-// the step stimulus and 100 MHz Vout sample comb, post-processed by
-// reduce.
-func stepPrep(reduce func(v []float64) float64) func(*circuit.Circuit) (*Evaluator, error) {
-	return func(ckt *circuit.Circuit) (*Evaluator, error) {
-		e, err := sim.New(ckt, simOptions())
-		if err != nil {
-			return nil, err
-		}
-		run := func(T []float64) ([]float64, error) {
-			macros.SetInputWave(ckt, wave.Step{Base: T[0], Elev: T[1], Delay: stepDelay, Rise: stepRise})
-			dt := 1 / stepSampleRate
-			tr, err := e.Transient(stepTestTime, dt, []string{macros.NodeVout})
-			if err != nil {
-				return nil, err
-			}
-			return []float64{reduce(tr.Signal(macros.NodeVout))}, nil
-		}
-		return &Evaluator{eng: e, run: run}, nil
+// stepPrep is the simulate step shared by configurations #4/#5: the
+// step stimulus and the 100 MHz Vout sample comb.
+func stepPrep(ckt *circuit.Circuit) (*Evaluator, error) {
+	e, err := sim.New(ckt, simOptions())
+	if err != nil {
+		return nil, err
 	}
+	run := func(T []float64) (outcome, error) {
+		macros.SetInputWave(ckt, wave.Step{Base: T[0], Elev: T[1], Delay: stepDelay, Rise: stepRise})
+		dt := 1 / stepSampleRate
+		tr, err := e.Transient(stepTestTime, dt, []string{macros.NodeVout})
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{v: tr.Signal(macros.NodeVout)}, nil
+	}
+	return &Evaluator{eng: e, cold: run}, nil
 }
 
 // stepIntegralConfig is configuration #4: step(base, elev), Vout sampled
 // at 100 MHz for 7.5 µs and accumulated (the ΣV return value of Fig. 1).
 func stepIntegralConfig() *Config {
-	prep := stepPrep(func(v []float64) float64 { return dsp.Accumulate(v, 1/stepSampleRate) })
 	return &Config{
 		ID:       4,
 		Name:     "step-integral",
@@ -377,15 +433,16 @@ func stepIntegralConfig() *Config {
 			{Name: "elev", Unit: "A", Lo: 0, Hi: 40e-6, Seed: 20e-6},
 		},
 		Returns: []Return{{Name: "SumV(Vout)", Unit: "V·s", Accuracy: 7.5e-9}},
-		run:     preppedRunner(prep),
-		prep:    prep,
+		an:      stepTransient,
+		measure: func(o outcome) ([]float64, error) {
+			return []float64{dsp.Accumulate(o.v, 1/stepSampleRate)}, nil
+		},
 	}
 }
 
 // stepPeakConfig is configuration #5: step(base, elev), the maximum Vout
 // sample reported (the Max(y1..yn) post-processing of Table 1).
 func stepPeakConfig() *Config {
-	prep := stepPrep(dsp.Max)
 	return &Config{
 		ID:       5,
 		Name:     "step-peak",
@@ -397,7 +454,9 @@ func stepPeakConfig() *Config {
 			{Name: "elev", Unit: "A", Lo: 0, Hi: 40e-6, Seed: 10e-6},
 		},
 		Returns: []Return{{Name: "Max(Vout)", Unit: "V", Accuracy: 5e-3}},
-		run:     preppedRunner(prep),
-		prep:    prep,
+		an:      stepTransient,
+		measure: func(o outcome) ([]float64, error) {
+			return []float64{dsp.Max(o.v)}, nil
+		},
 	}
 }
