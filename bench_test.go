@@ -40,7 +40,10 @@ func sharedRunner(b *testing.B) *experiments.Runner {
 }
 
 // benchExperiment runs one experiment per iteration against the shared
-// runner.
+// runner. These benchmarks are one-shot: the runner's session simulates
+// each distinct analysis once, so past the first iteration ns/op times
+// lookups in its analysis memo rather than simulations. Run them at
+// -benchtime=1x, as CI does.
 func benchExperiment(b *testing.B, id string) {
 	r := sharedRunner(b)
 	e := experiments.ByID(id)

@@ -96,6 +96,11 @@ type report struct {
 	Workloads      []result `json:"workloads"`
 }
 
+// body is a benchmark body that returns the simulation kernel work its
+// b.N ops did, read from the engines' own Stats or from the sessions'
+// metrics; solver_per_op divides it by b.N.
+type body func(b *testing.B) sim.Counters
+
 // workload pairs a benchmark body with its reference measurements.
 // slow, when set, is an alternate body implementing the pre-lowrank
 // path; it is benchmarked in the same process and recorded as
@@ -104,15 +109,11 @@ type workload struct {
 	name string
 	desc string
 	base *baseline
-	fn   func(b *testing.B)
-	slow func(b *testing.B)
+	fn   body
+	slow body
 	// lat, when non-nil, is the per-op latency histogram the body records
 	// into; its p99 lands in the JSON next to ns/op.
 	lat *hist.Histogram
-	// untimed, when non-nil, is the kernel work the body did with the
-	// timer stopped (building each op's session); solver_per_op leaves
-	// it out.
-	untimed *sim.Counters
 }
 
 func main() {
@@ -129,14 +130,12 @@ func main() {
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 	}
 	for _, w := range workloads() {
+		// The last run of the body is the one res reports.
+		var t sim.Counters
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			w.fn(b)
+			t = w.fn(b)
 		})
-		t := sim.Totals()
-		if w.untimed != nil {
-			t = t.Sub(*w.untimed)
-		}
 		n := float64(res.N)
 		r := result{
 			Name:        w.name,
@@ -355,21 +354,38 @@ func ladderCircuit() *circuit.Circuit {
 	return c
 }
 
-// freshSession builds, with the timer stopped, the session one op of a
-// generation workload runs on: configurations #1/#2 with seed boxes. A
-// session simulates each distinct analysis once, so an op repeated on
-// one session would time memo lookups, not simulations. The kernel work
-// of the construction is added to untimed.
-func freshSession(b *testing.B, scfg core.Config, untimed *sim.Counters) *core.Session {
-	b.StopTimer()
-	defer b.StartTimer()
-	before := sim.Totals()
-	s, err := core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg)
-	if err != nil {
-		b.Fatal(err)
+// sessionOps runs op b.N times, each on a fresh session built with the
+// timer stopped: configurations #1/#2 with seed boxes. A session
+// simulates each distinct analysis once, so an op repeated on one
+// session would time memo lookups, not simulations. It returns the
+// kernel work of the ops alone: each session's solver counters after
+// its op minus those right after its construction, read while the
+// timer is stopped for the next construction (or for good, after the
+// last op).
+func sessionOps(b *testing.B, scfg core.Config, op func(s *core.Session) error) sim.Counters {
+	var work, built sim.Counters
+	var s *core.Session
+	finish := func() {
+		if s != nil {
+			work.Add(s.Metrics().Solver.Sub(built))
+		}
 	}
-	untimed.Add(sim.Totals().Sub(before))
-	return s
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		finish()
+		var err error
+		if s, err = core.NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], scfg); err != nil {
+			b.Fatal(err)
+		}
+		built = s.Metrics().Solver
+		b.StartTimer()
+		if err := op(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	finish()
+	return work
 }
 
 // impactSearchBody is the impact-search hot loop the low-rank path
@@ -382,26 +398,22 @@ func freshSession(b *testing.B, scfg core.Config, untimed *sim.Counters) *core.S
 // the measurement a pure single-thread comparison. When h is non-nil,
 // every Generate records its latency, so the report carries the
 // distribution tail (p99) alongside the mean.
-func impactSearchBody(disableFast bool, h *hist.Histogram, untimed *sim.Counters) func(b *testing.B) {
-	return func(b *testing.B) {
+func impactSearchBody(disableFast bool, h *hist.Histogram) body {
+	return func(b *testing.B) sim.Counters {
 		scfg := core.DefaultConfig()
 		scfg.BoxMode = core.BoxSeed
 		scfg.Workers = 1
 		scfg.DisableFastPath = disableFast
 		f := fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)
 		b.ResetTimer()
-		sim.ResetTotals()
-		*untimed = sim.Counters{}
-		for i := 0; i < b.N; i++ {
-			s := freshSession(b, scfg, untimed)
+		return sessionOps(b, scfg, func(s *core.Session) error {
 			t0 := time.Now()
-			if _, err := s.Generate(f); err != nil {
-				b.Fatal(err)
-			}
+			_, err := s.Generate(f)
 			if h != nil {
 				h.RecordDuration(time.Since(t0))
 			}
-		}
+			return err
+		})
 	}
 }
 
@@ -410,14 +422,12 @@ func impactSearchBody(disableFast bool, h *hist.Histogram, untimed *sim.Counters
 // variant doesn't — its distribution isn't reported).
 func impactSearchWorkload() workload {
 	h := hist.New()
-	untimed := new(sim.Counters)
 	return workload{
-		name:    "impact_search",
-		desc:    "impact-ladder search for one feedback bridge (retained low-rank evaluators)",
-		fn:      impactSearchBody(false, h, untimed),
-		slow:    impactSearchBody(true, nil, new(sim.Counters)),
-		lat:     h,
-		untimed: untimed,
+		name: "impact_search",
+		desc: "impact-ladder search for one feedback bridge (retained low-rank evaluators)",
+		fn:   impactSearchBody(false, h),
+		slow: impactSearchBody(true, nil),
+		lat:  h,
 	}
 }
 
@@ -427,12 +437,11 @@ func impactSearchWorkload() workload {
 // GOMAXPROCS=1); the same tree timed with the old body, which repeated
 // GenerateAll on one session, within 11 % of the number recorded for it.
 func coverageDCWorkload() workload {
-	untimed := new(sim.Counters)
 	return workload{
 		name: "coverage_dc",
 		desc: "DC fault-dictionary generation: 3 faults x 2 configs end to end",
 		base: &baseline{NsPerOp: 13492674, BytesPerOp: 6171507, AllocsPerOp: 64393},
-		fn: func(b *testing.B) {
+		fn: func(b *testing.B) sim.Counters {
 			scfg := core.DefaultConfig()
 			scfg.BoxMode = core.BoxSeed
 			faults := []fault.Fault{
@@ -441,15 +450,11 @@ func coverageDCWorkload() workload {
 				fault.NewPinhole("M6", 2e3),
 			}
 			b.ResetTimer()
-			sim.ResetTotals()
-			*untimed = sim.Counters{}
-			for i := 0; i < b.N; i++ {
-				if _, err := freshSession(b, scfg, untimed).GenerateAll(faults); err != nil {
-					b.Fatal(err)
-				}
-			}
+			return sessionOps(b, scfg, func(s *core.Session) error {
+				_, err := s.GenerateAll(faults)
+				return err
+			})
 		},
-		untimed: untimed,
 	}
 }
 
@@ -461,7 +466,7 @@ func workloads() []workload {
 			name: "lu_factor_solve_12",
 			desc: "dense real LU factor+solve, n=12 (mna kernel)",
 			base: &baseline{NsPerOp: 1138, BytesPerOp: 96, AllocsPerOp: 1},
-			fn: func(b *testing.B) {
+			fn: func(b *testing.B) sim.Counters {
 				n := 12
 				s := mna.NewSystem(n)
 				for i := 0; i < n; i++ {
@@ -482,7 +487,6 @@ func workloads() []workload {
 				// plus substitution, like the pre-split FactorSolve.
 				jitter := [2]float64{0, 1e-9}
 				b.ResetTimer()
-				sim.ResetTotals()
 				for i := 0; i < b.N; i++ {
 					s.SetMatrix(save)
 					s.Add(0, 0, jitter[i&1])
@@ -490,31 +494,32 @@ func workloads() []workload {
 						b.Fatal(err)
 					}
 				}
+				return sim.Counters{} // below the simulation kernel
 			},
 		},
 		{
 			name: "op_cold",
 			desc: "cold DC operating point of the IV-converter macro",
 			base: &baseline{NsPerOp: 20390, BytesPerOp: 1968, AllocsPerOp: 21},
-			fn: func(b *testing.B) {
+			fn: func(b *testing.B) sim.Counters {
 				eng, err := sim.New(macros.IVConverter(), sim.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
-				sim.ResetTotals()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.OperatingPoint(); err != nil {
 						b.Fatal(err)
 					}
 				}
+				return eng.Stats()
 			},
 		},
 		{
 			name: "newton_warm_sweep16",
 			desc: "16-point warm DC sweep of the IV-converter (steady-state Newton)",
 			base: &baseline{NsPerOp: 55084, BytesPerOp: 6992, AllocsPerOp: 87},
-			fn: func(b *testing.B) {
+			fn: func(b *testing.B) sim.Counters {
 				eng, err := sim.New(macros.IVConverter(), sim.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
@@ -526,20 +531,21 @@ func workloads() []workload {
 				if _, err := eng.SweepDC(macros.InputSourceName, vals); err != nil {
 					b.Fatal(err)
 				}
+				warm := eng.Stats()
 				b.ResetTimer()
-				sim.ResetTotals()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.SweepDC(macros.InputSourceName, vals); err != nil {
 						b.Fatal(err)
 					}
 				}
+				return eng.Stats().Sub(warm)
 			},
 		},
 		{
 			name: "newton_linear_sweep32",
 			desc: "32-point DC sweep of a bridged resistive ladder (linear Newton kernel)",
 			base: &baseline{NsPerOp: 163877, BytesPerOp: 13704, AllocsPerOp: 133},
-			fn: func(b *testing.B) {
+			fn: func(b *testing.B) sim.Counters {
 				eng, err := sim.New(ladderCircuit(), sim.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
@@ -551,20 +557,21 @@ func workloads() []workload {
 				if _, err := eng.SweepDC("Iin", vals); err != nil {
 					b.Fatal(err)
 				}
+				warm := eng.Stats()
 				b.ResetTimer()
-				sim.ResetTotals()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.SweepDC("Iin", vals); err != nil {
 						b.Fatal(err)
 					}
 				}
+				return eng.Stats().Sub(warm)
 			},
 		},
 		{
 			name: "ac_sweep_64",
 			desc: "64-point AC Bode sweep of the IV-converter",
 			base: &baseline{NsPerOp: 149230, BytesPerOp: 30696, AllocsPerOp: 142},
-			fn: func(b *testing.B) {
+			fn: func(b *testing.B) sim.Counters {
 				eng, err := sim.New(macros.IVConverter(), sim.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
@@ -573,22 +580,23 @@ func workloads() []workload {
 				if err != nil {
 					b.Fatal(err)
 				}
+				op := eng.Stats()
 				freqs := sim.LogSpace(1e3, 1e9, 64)
 				b.ResetTimer()
-				sim.ResetTotals()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.AC(xop, macros.InputSourceName, freqs); err != nil {
 						b.Fatal(err)
 					}
 				}
+				return eng.Stats().Sub(op)
 			},
 		},
 		{
 			name: "transient_step",
 			desc: "7.5 µs step response of the IV-converter (fixed 10 ns steps)",
 			base: &baseline{NsPerOp: 2020944, BytesPerOp: 299857, AllocsPerOp: 3203},
-			fn: func(b *testing.B) {
-				sim.ResetTotals()
+			fn: func(b *testing.B) sim.Counters {
+				var work sim.Counters
 				for i := 0; i < b.N; i++ {
 					ckt := macros.IVConverter()
 					macros.SetInputWave(ckt, wave.Step{Base: 5e-6, Elev: 20e-6, Delay: 10e-9, Rise: 10e-9})
@@ -599,7 +607,9 @@ func workloads() []workload {
 					if _, err := eng.Transient(7.5e-6, 10e-9, []string{macros.NodeVout}); err != nil {
 						b.Fatal(err)
 					}
+					work.Add(eng.Stats())
 				}
+				return work
 			},
 		},
 		impactSearchWorkload(),

@@ -28,9 +28,7 @@ import (
 	"sort"
 	"time"
 
-	"repro"
 	"repro/api"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/chrometrace"
 	"repro/internal/report"
@@ -362,25 +360,18 @@ func (d *reportData) render(w io.Writer, top int) {
 }
 
 // decodeMetrics re-decodes the run_end "metrics" attribute (a generic
-// JSON object after the journal round trip) into the wire form. Current
-// journals embed api.MetricsSnapshot directly (recognizable by its "v"
-// version field); journals from before the wire schema embedded a raw
-// engine.Metrics, which is decoded and converted as the legacy
-// fallback.
+// JSON object after the journal round trip) into the wire form
+// api.MetricsSnapshot, recognizable by its "v" version field.
 func decodeMetrics(v any) (api.MetricsSnapshot, bool) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return api.MetricsSnapshot{}, false
 	}
 	var m api.MetricsSnapshot
-	if err := json.Unmarshal(raw, &m); err == nil && m.V >= 1 {
-		return m, true
-	}
-	var legacy engine.Metrics
-	if err := json.Unmarshal(raw, &legacy); err != nil {
+	if err := json.Unmarshal(raw, &m); err != nil || m.V < 1 {
 		return api.MetricsSnapshot{}, false
 	}
-	return repro.WireMetrics(legacy), true
+	return m, true
 }
 
 // writeChrome converts the (already schema-validated) journal into

@@ -100,8 +100,7 @@ func (b *breaker) stats() engine.BreakerStats {
 	return engine.BreakerStats{Trips: b.trips.Load(), Open: b.open.Load()}
 }
 
-// sessionFallbacks returns the session-scoped Woodbury fallback count
-// (the process-wide total minus the session's construction-time base).
+// sessionFallbacks returns the session's Woodbury fallback count.
 func (s *Session) sessionFallbacks() uint64 {
-	return solverSnapshot().WoodburyFallbacks - s.solverBase.WoodburyFallbacks
+	return s.simOpts.Probe.Counters().WoodburyFallbacks
 }

@@ -49,7 +49,7 @@ func (s *Session) Signatures(tests []Test, faults []fault.Fault) (baseline [][]f
 			return nil, nil, err
 		}
 		for ti, t := range tests {
-			r, err := s.configs[t.ConfigIdx].Run(faulty, t.Params)
+			r, err := s.run(s.configs[t.ConfigIdx], faulty, t.Params)
 			if err != nil {
 				sig.Responses[ti] = nil // catastrophic marker
 				continue
@@ -139,7 +139,7 @@ func (s *Session) ObserveFault(tests []Test, f fault.Fault) ([][]float64, error)
 	}
 	out := make([][]float64, len(tests))
 	for ti, t := range tests {
-		r, err := s.configs[t.ConfigIdx].Run(faulty, t.Params)
+		r, err := s.run(s.configs[t.ConfigIdx], faulty, t.Params)
 		if err != nil {
 			out[ti] = nil
 			continue

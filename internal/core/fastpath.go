@@ -93,7 +93,7 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if err != nil {
 		return nil
 	}
-	ev, err := c.Prepare(fc)
+	ev, err := c.Prepare(fc, s.simOpts)
 	if err != nil {
 		return nil
 	}
@@ -128,7 +128,7 @@ func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, r
 		if fe.evals > 0 {
 			// Every evaluation after the first skipped a full
 			// insert+clone+compile+factor cycle.
-			sim.AddFaultyFactorAvoided(1)
+			s.simOpts.Probe.Add(sim.Counters{FaultyFactorAvoided: 1})
 		}
 		fe.evals++
 	}

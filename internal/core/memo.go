@@ -99,7 +99,7 @@ func (s *Session) simulate(id circuitID, cfgs []*testcfg.Config, T []float64) ([
 	if err != nil {
 		return nil, err
 	}
-	return testcfg.RunGroup(cfgs, ckt, T)
+	return testcfg.RunGroup(cfgs, ckt, T, s.simOpts)
 }
 
 // memoKey encodes an analysis as exact bits: the circuit (kind, a

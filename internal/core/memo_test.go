@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/macros"
+	"repro/internal/sim"
 	"repro/internal/testcfg"
 )
 
@@ -100,7 +101,7 @@ func TestMemoTransparency(t *testing.T) {
 	// warm (approximate) by design; all others are exact.
 	warm := make([]bool, len(s.Configs()))
 	for ci, c := range s.Configs() {
-		if ev, err := c.Prepare(golden); err == nil {
+		if ev, err := c.Prepare(golden, sim.DefaultOptions()); err == nil {
 			warm[ci] = ev.HasWarm()
 		}
 	}

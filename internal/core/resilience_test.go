@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/macros"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/testcfg"
 )
 
@@ -71,9 +70,6 @@ func chaosSession(t *testing.T, cfgs []*testcfg.Config, mod func(*Config)) *Sess
 	s, err := NewSession(macros.IVConverter(), cfgs, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Retry != nil {
-		t.Cleanup(func() { sim.SetDefaultRecovery(nil) })
 	}
 	return s
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/obs/hist"
 	"repro/internal/sim"
 	"repro/internal/testcfg"
 	"repro/internal/tolerance"
@@ -181,9 +180,10 @@ type Session struct {
 	quarMu       sync.Mutex
 	quarantined  []QuarantineRecord
 
-	// solverBase is the kernel's process-wide totals at construction;
-	// session-scoped counters subtract it.
-	solverBase engine.SolverStats
+	// simOpts are the solver options of every simulation the session
+	// runs: the retry policy's recovery ladder, and a probe of its own
+	// that counts, times and traces exactly those simulations.
+	simOpts sim.Options
 	// brk is the low-rank circuit breaker (nil when disarmed).
 	brk *breaker
 }
@@ -217,27 +217,6 @@ type Stats struct {
 	Quarantined int64
 }
 
-// solverSnapshot reads the simulation kernel's process-wide totals in
-// the engine's snapshot shape.
-func solverSnapshot() engine.SolverStats {
-	t := sim.Totals()
-	return engine.SolverStats{
-		Stamps:           t.Stamps,
-		Factorizations:   t.Factorizations,
-		FactorReuses:     t.FactorReuses,
-		NewtonIterations: t.NewtonIterations,
-		Solves:           t.Solves,
-		BaseBuilds:       t.BaseBuilds,
-		BaseHits:         t.BaseHits,
-		RecoveryAttempts: t.RecoveryAttempts,
-		Recoveries:       t.Recoveries,
-
-		WoodburySolves:      t.WoodburySolves,
-		WoodburyFallbacks:   t.WoodburyFallbacks,
-		FaultyFactorAvoided: t.FaultyFactorAvoided,
-	}
-}
-
 // Stats returns a snapshot of the session's simulation counters.
 func (s *Session) Stats() Stats {
 	s.quarMu.Lock()
@@ -258,8 +237,17 @@ func (s *Session) Stats() Stats {
 // Metrics snapshots the evaluation engine's observability counters:
 // per-phase wall-clock timings (box build, per-config optimization,
 // impact loops, fault simulation, tps sweeps) and nominal-cache
-// effectiveness.
-func (s *Session) Metrics() engine.Metrics { return s.eng.Metrics() }
+// effectiveness, plus the solver counters and per-analysis histograms
+// of the session's own simulations and its circuit breaker's state.
+func (s *Session) Metrics() engine.Metrics {
+	m := s.eng.Metrics()
+	m.Solver = s.simOpts.Probe.Counters()
+	m.Durations = s.simOpts.Probe.Histograms()
+	if s.brk != nil {
+		m.Breaker = s.brk.stats()
+	}
+	return m
+}
 
 // NewSession builds the box functions (corner simulations) and returns a
 // ready session. It is NewSessionContext with context.Background().
@@ -310,23 +298,15 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 	}
 	s.groups, s.groupOf, s.memberOf = groupConfigs(configs)
 	s.eng.SetTracer(cfg.Tracer)
-	if cfg.Retry != nil {
-		// Install the policy's re-solve ladder as the simulation kernel's
-		// default recovery. The hook is package-wide for the same reason
-		// the trace hook and counter totals are: engines are built deep
-		// inside test-configuration closures. With one active session at a
-		// time (the CLI case) attribution is clean; sessions without a
-		// policy never install anything, so their solves stay bit-identical
-		// to the ladder-free kernel.
-		sim.SetDefaultRecovery(cfg.Retry.ladder())
-	}
+	// Sessions without a retry policy get no ladder, so their solves stay
+	// bit-identical to the ladder-free kernel.
+	s.simOpts = sim.DefaultOptions()
+	s.simOpts.Recovery = cfg.Retry.ladder()
+	var hook sim.TraceHook
 	if cfg.Tracer.Enabled() {
-		// Surface per-analysis solver spans. The hook is package-wide for
-		// the same reason the counter totals are (engines are built deep
-		// inside configuration closures); with one traced session at a
-		// time — the CLI case — attribution is clean.
+		// Surface per-analysis solver spans.
 		tr := cfg.Tracer
-		sim.SetTraceHook(func(analysis string, d time.Duration, delta sim.Counters) {
+		hook = func(analysis string, d time.Duration, delta sim.Counters) {
 			tr.Complete("sim."+analysis, d,
 				obs.I64("stamps", int64(delta.Stamps)),
 				obs.I64("factorizations", int64(delta.Factorizations)),
@@ -337,35 +317,10 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 				obs.I64("woodbury_solves", int64(delta.WoodburySolves)),
 				obs.I64("woodbury_fallbacks", int64(delta.WoodburyFallbacks)),
 				obs.I64("faulty_factor_avoided", int64(delta.FaultyFactorAvoided)))
-		})
+		}
 	}
-	// Surface the simulation kernel's counters in engine metrics.
-	// Engines are built deep inside test-configuration closures, so the
-	// kernel's process-wide totals are the observation point. Snapshots
-	// are scoped to this session's lifetime by subtracting the totals at
-	// construction time, so a session started inside a long-running
-	// process (a job server that has already executed other jobs) reports
-	// only its own work. Jobs running concurrently in one process still
-	// share the process-wide counters — their solver sections then report
-	// combined activity over the job's lifetime, which the server
-	// documents.
-	base := solverSnapshot()
-	s.solverBase = base
-	s.eng.SetSolverSource(func() engine.SolverStats {
-		return solverSnapshot().Sub(base)
-	})
-	if s.brk = newBreaker(s); s.brk != nil {
-		brk := s.brk
-		s.eng.SetBreakerSource(func() engine.BreakerStats { return brk.stats() })
-	}
-	// Same scoping for the kernel's per-analysis latency histograms: the
-	// session reports the distribution of work done since it was built.
-	// Min/Max in the scoped snapshots remain process-lifetime extremes
-	// (they cannot be subtracted); counts, sums and buckets are exact.
-	histBase := sim.HistSnapshots()
-	s.eng.SetDurationSource(func() []hist.NamedSnapshot {
-		return hist.SubNamed(sim.HistSnapshots(), histBase)
-	})
+	s.simOpts.Probe = sim.NewProbe(hook)
+	s.brk = newBreaker(s)
 	boxes, err := s.buildBoxes(ctx)
 	if err != nil {
 		return nil, err
@@ -444,7 +399,7 @@ func (s *Session) buildBoxes(ctx context.Context) ([]tolerance.BoxFunc, error) {
 			seeds := c.Seeds()
 			dev, err := tolerance.MonteCarloDeviation(s.golden, tolerance.DefaultSpread(), n,
 				s.cfg.MCSeed+int64(i), func(ck *circuit.Circuit) ([]float64, error) {
-					return c.Run(ck, seeds)
+					return s.run(c, ck, seeds)
 				})
 			if err != nil {
 				return fmt.Errorf("core: MC box for config #%d: %w", c.ID, err)
@@ -492,7 +447,7 @@ func nomKey(ci int, T []float64) string {
 // (DESIGN.md §16).
 func (s *Session) Nominal(ci int, T []float64) ([]float64, error) {
 	r, hit, err := s.eng.Cache().GetOrCompute(nomKey(ci, T), func() ([]float64, error) {
-		r, err := s.configs[ci].Run(s.golden, T)
+		r, err := s.run(s.configs[ci], s.golden, T)
 		s.nominalRuns.Add(1)
 		return r, err
 	})
@@ -533,7 +488,7 @@ func (s *Session) sensitivity(ci int, f fault.Fault, T []float64, viaMemo bool) 
 			insertErr = err
 			return nil, err
 		}
-		return testcfg.RunGroup(cfgs, ckt, T)
+		return testcfg.RunGroup(cfgs, ckt, T, s.simOpts)
 	}
 	var rf []float64
 	served := false
@@ -558,6 +513,15 @@ func (s *Session) sensitivity(ci int, f fault.Fault, T []float64, viaMemo bool) 
 		return DetectedSentinel, nil
 	}
 	return s.score(ci, T, nom, rf), nil
+}
+
+// run is Config.Run on the session's solver options.
+func (s *Session) run(c *testcfg.Config, ckt *circuit.Circuit, T []float64) ([]float64, error) {
+	r, err := testcfg.RunGroup([]*testcfg.Config{c}, ckt, T, s.simOpts)
+	if err != nil {
+		return nil, err
+	}
+	return r[0], nil
 }
 
 // countFaulty counts one faulty measurement: a simulation, or a memo hit.

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/obs"
-	"repro/internal/obs/hist"
 )
 
 // fpTaskStart fires at the top of every pool task, inside the Recover
@@ -54,14 +53,11 @@ type Options struct {
 // Engine is a reusable evaluation substrate: a worker pool, a response
 // cache and a metrics registry. An Engine is safe for concurrent use.
 type Engine struct {
-	workers     int
-	cache       *Cache[[]float64]
-	phases      sync.Map // string -> *phase
-	solverSrc   atomic.Pointer[func() SolverStats]
-	durationSrc atomic.Pointer[func() []hist.NamedSnapshot]
-	breakerSrc  atomic.Pointer[func() BreakerStats]
-	tracer      atomic.Pointer[obs.Tracer]
-	panics      atomic.Int64
+	workers int
+	cache   *Cache[[]float64]
+	phases  sync.Map // string -> *phase
+	tracer  atomic.Pointer[obs.Tracer]
+	panics  atomic.Int64
 }
 
 // SetTracer registers a span tracer. When set, ForEach opens one

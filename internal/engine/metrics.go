@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs/hist"
+	"repro/internal/sim"
 )
 
 // phase accumulates one named phase's counters and its latency
@@ -66,69 +67,6 @@ func (p PhaseStats) Avg() time.Duration {
 	return p.Wall / time.Duration(p.Count)
 }
 
-// SolverStats is a snapshot of the simulation kernel's work counters.
-// The engine does not produce these itself — the simulation layer
-// registers a source via SetSolverSource — but they belong in the same
-// snapshot because "how many stamps and factorizations did the budget
-// buy" is the kernel-level refinement of the paper's simulation-count
-// cost metric.
-type SolverStats struct {
-	// Stamps counts device stamp calls (linear assemblies plus
-	// per-iteration nonlinear re-stamps).
-	Stamps uint64
-	// Factorizations counts LU factorizations, real and complex.
-	Factorizations uint64
-	// FactorReuses counts solves served by the same-pattern
-	// factorization reuse instead of a fresh factorization.
-	FactorReuses uint64
-	// NewtonIterations counts Newton iterations across all solves.
-	NewtonIterations uint64
-	// Solves counts completed Newton solves.
-	Solves uint64
-	// BaseBuilds counts linear-snapshot assemblies (cache misses).
-	BaseBuilds uint64
-	// BaseHits counts solves served from a cached linear snapshot.
-	BaseHits uint64
-	// RecoveryAttempts counts relaxation-ladder rungs tried after a full
-	// operating-point strategy failure.
-	RecoveryAttempts uint64
-	// Recoveries counts operating points rescued by a ladder rung.
-	Recoveries uint64
-	// WoodburySolves counts solves served by the Sherman–Morrison–
-	// Woodbury rank-k update against a retained factorization.
-	WoodburySolves uint64
-	// WoodburyFallbacks counts eligible solves whose update guard tripped,
-	// falling back to a full restamp+factor.
-	WoodburyFallbacks uint64
-	// FaultyFactorAvoided counts faulty-circuit factor-from-scratch cycles
-	// the low-rank machinery avoided (retained factorizations reused plus
-	// retained-evaluator evaluations that skipped a full rebuild).
-	FaultyFactorAvoided uint64
-}
-
-// Sub returns s minus base, field by field. Sessions use it to scope
-// the kernel's monotone process-wide totals to their own lifetime: the
-// source registered with SetSolverSource subtracts the totals captured
-// at session construction, so a session started late in a long-running
-// process (a job server) reports only the work done since it began.
-func (s SolverStats) Sub(base SolverStats) SolverStats {
-	return SolverStats{
-		Stamps:           s.Stamps - base.Stamps,
-		Factorizations:   s.Factorizations - base.Factorizations,
-		FactorReuses:     s.FactorReuses - base.FactorReuses,
-		NewtonIterations: s.NewtonIterations - base.NewtonIterations,
-		Solves:           s.Solves - base.Solves,
-		BaseBuilds:       s.BaseBuilds - base.BaseBuilds,
-		BaseHits:         s.BaseHits - base.BaseHits,
-		RecoveryAttempts: s.RecoveryAttempts - base.RecoveryAttempts,
-		Recoveries:       s.Recoveries - base.Recoveries,
-
-		WoodburySolves:      s.WoodburySolves - base.WoodburySolves,
-		WoodburyFallbacks:   s.WoodburyFallbacks - base.WoodburyFallbacks,
-		FaultyFactorAvoided: s.FaultyFactorAvoided - base.FaultyFactorAvoided,
-	}
-}
-
 // BreakerStats is a snapshot of the session-level low-rank circuit
 // breaker (zero when no breaker is armed): how often the fallback-rate
 // threshold tripped it, and whether it is currently holding the session
@@ -147,19 +85,21 @@ type Metrics struct {
 	Phases []PhaseStats
 	// Cache summarizes the sharded response cache.
 	Cache CacheStats
-	// Solver carries the simulation kernel's counters (zero when no
-	// source is registered).
-	Solver SolverStats
+	// Solver carries the simulation kernel's counters — "how many
+	// stamps and factorizations did the budget buy", the kernel-level
+	// refinement of the paper's simulation-count cost metric. The engine
+	// does not produce them; core.Session.Metrics fills them from the
+	// session's sim.Probe (zero otherwise).
+	Solver sim.Counters
 	// TaskPanics counts panics recovered at the task isolation boundary
 	// (Engine.Recover), whether they were quarantined or failed the run.
 	TaskPanics int64
 	// Durations holds latency distributions from layers below the engine
 	// (the simulation kernel's per-analysis wall times and Newton
-	// iteration counts), provided by the source registered with
-	// SetDurationSource. Nil when no source is registered.
+	// iteration counts), filled like Solver. Nil otherwise.
 	Durations []hist.NamedSnapshot
-	// Breaker carries the low-rank circuit breaker's state (zero when no
-	// source is registered — i.e. no breaker armed).
+	// Breaker carries the low-rank circuit breaker's state, filled by
+	// core.Session.Metrics (zero when no breaker is armed).
 	Breaker BreakerStats
 }
 
@@ -174,54 +114,9 @@ func (m Metrics) Phase(name string) PhaseStats {
 	return PhaseStats{Name: name}
 }
 
-// SetSolverSource registers fn as the provider of kernel counters for
-// Metrics snapshots. The simulation layer calls this once at session
-// construction; passing nil clears the source. Safe for concurrent use
-// with Metrics.
-func (e *Engine) SetSolverSource(fn func() SolverStats) {
-	if fn == nil {
-		e.solverSrc.Store((*func() SolverStats)(nil))
-		return
-	}
-	e.solverSrc.Store(&fn)
-}
-
-// SetDurationSource registers fn as the provider of sub-engine latency
-// distributions for Metrics snapshots (the simulation layer wires it to
-// its per-analysis histograms at session construction). Passing nil
-// clears the source. Safe for concurrent use with Metrics.
-func (e *Engine) SetDurationSource(fn func() []hist.NamedSnapshot) {
-	if fn == nil {
-		e.durationSrc.Store((*func() []hist.NamedSnapshot)(nil))
-		return
-	}
-	e.durationSrc.Store(&fn)
-}
-
-// SetBreakerSource registers fn as the provider of circuit-breaker
-// state for Metrics snapshots (the core session wires it up when a
-// breaker is armed). Passing nil clears the source. Safe for concurrent
-// use with Metrics.
-func (e *Engine) SetBreakerSource(fn func() BreakerStats) {
-	if fn == nil {
-		e.breakerSrc.Store((*func() BreakerStats)(nil))
-		return
-	}
-	e.breakerSrc.Store(&fn)
-}
-
 // Metrics snapshots the engine's phase and cache counters.
 func (e *Engine) Metrics() Metrics {
 	m := Metrics{Cache: e.cache.Stats(), TaskPanics: e.panics.Load()}
-	if p := e.solverSrc.Load(); p != nil && *p != nil {
-		m.Solver = (*p)()
-	}
-	if p := e.durationSrc.Load(); p != nil && *p != nil {
-		m.Durations = (*p)()
-	}
-	if p := e.breakerSrc.Load(); p != nil && *p != nil {
-		m.Breaker = (*p)()
-	}
 	e.phases.Range(func(k, v any) bool {
 		ph := v.(*phase)
 		m.Phases = append(m.Phases, PhaseStats{

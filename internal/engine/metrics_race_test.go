@@ -19,7 +19,6 @@ func TestMetricsSnapshotWhileRunning(t *testing.T) {
 	e := New(Options{Workers: 4, CacheEntries: 256})
 	col := &obs.Collector{}
 	e.SetTracer(obs.New(col))
-	e.SetSolverSource(func() SolverStats { return SolverStats{Solves: 1} })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

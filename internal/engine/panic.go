@@ -20,6 +20,8 @@ type TaskPanicError struct {
 	Stack []byte
 }
 
+// Error names the panicking task and the recovered value; the stack
+// stays in Stack.
 func (e *TaskPanicError) Error() string {
 	return fmt.Sprintf("engine: task %d panicked: %v", e.Index, e.Value)
 }

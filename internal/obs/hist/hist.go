@@ -266,38 +266,6 @@ func (s Snapshot) P90() int64 { return s.Quantile(0.90) }
 // P99 is the conventional extreme-tail telemetry percentile.
 func (s Snapshot) P99() int64 { return s.Quantile(0.99) }
 
-// Sub returns s minus base, bucket by bucket — the scoping operation a
-// session uses against cumulative process-wide histograms (base is the
-// snapshot taken at session construction, so the difference covers only
-// the session's own records). Min and Max cannot be subtracted and keep
-// s's values: extremes are process-lifetime, which the consumers
-// document.
-func (s Snapshot) Sub(base Snapshot) Snapshot {
-	if base.Count == 0 {
-		return s
-	}
-	out := Snapshot{
-		Count: s.Count - base.Count,
-		Sum:   s.Sum - base.Sum,
-		Min:   s.Min,
-		Max:   s.Max,
-	}
-	baseAt := make(map[int64]uint64, len(base.Buckets))
-	for _, b := range base.Buckets {
-		baseAt[b.Lower] = b.Count
-	}
-	for _, b := range s.Buckets {
-		n := b.Count - baseAt[b.Lower]
-		if n > 0 {
-			out.Buckets = append(out.Buckets, Bucket{Lower: b.Lower, Upper: b.Upper, Count: n})
-		}
-	}
-	if out.Count == 0 {
-		out.Min, out.Max = 0, 0
-	}
-	return out
-}
-
 // Cumulative returns the snapshot's buckets as cumulative (upper bound,
 // count ≤ bound) pairs — the Prometheus exposition shape.
 func (s Snapshot) Cumulative() []Bucket {

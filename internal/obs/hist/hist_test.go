@@ -156,30 +156,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	h := New()
-	for i := int64(0); i < 1000; i++ {
-		h.Record(50)
-	}
-	base := h.Snapshot()
-	for i := int64(0); i < 500; i++ {
-		h.Record(70000)
-	}
-	d := h.Snapshot().Sub(base)
-	if d.Count != 500 {
-		t.Fatalf("sub count %d, want 500", d.Count)
-	}
-	if d.Sum != 500*70000 {
-		t.Fatalf("sub sum %d, want %d", d.Sum, int64(500*70000))
-	}
-	// The base-era bucket must vanish entirely.
-	for _, b := range d.Buckets {
-		if b.Lower <= 50 && 50 <= b.Upper {
-			t.Fatalf("base bucket survived subtraction: %+v", b)
-		}
-	}
-}
-
 func TestCumulative(t *testing.T) {
 	h := New()
 	h.Record(1)

@@ -5,9 +5,8 @@ import (
 	"sync"
 )
 
-// Registry is a small named-histogram collection: the engine keeps one
-// for its phases, the simulation kernel one for its analyses, the job
-// server one for its queue and HTTP timings. Get is cheap enough for
+// Registry is a small named-histogram collection: the job server keeps
+// one for its per-route HTTP timings. Get is cheap enough for
 // per-observation lookup (a read lock and a map probe, off the record
 // path's inner loops), but hot sites should hold the *Histogram.
 //
@@ -51,29 +50,6 @@ func (r *Registry) Observe(name string, v int64) { r.Get(name).Record(v) }
 type NamedSnapshot struct {
 	Name string
 	Snapshot
-}
-
-// SubNamed returns cur minus base, matched by name — the list form of
-// Snapshot.Sub, used to scope a cumulative process-wide registry (the
-// simulation kernel's per-analysis histograms) to one session. Names
-// present only in cur pass through unchanged; entries whose difference
-// is empty are dropped.
-func SubNamed(cur, base []NamedSnapshot) []NamedSnapshot {
-	if len(base) == 0 {
-		return cur
-	}
-	baseAt := make(map[string]Snapshot, len(base))
-	for _, b := range base {
-		baseAt[b.Name] = b.Snapshot
-	}
-	out := make([]NamedSnapshot, 0, len(cur))
-	for _, c := range cur {
-		d := c.Snapshot.Sub(baseAt[c.Name])
-		if d.Count > 0 {
-			out = append(out, NamedSnapshot{Name: c.Name, Snapshot: d})
-		}
-	}
-	return out
 }
 
 // Snapshot captures every histogram in the registry, sorted by name.

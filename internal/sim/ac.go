@@ -153,8 +153,8 @@ func (sw *ACSweep) SolveAt(omega float64, dst []complex128) error {
 // of the system is assembled and the drive stamped exactly once; each
 // sweep point only adds the reactive terms.
 func (e *Engine) AC(xop []float64, input string, freqs []float64) (*ACResult, error) {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "ac", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("ac", t0, pre)
 	if input == "" {
 		return nil, fmt.Errorf("sim: AC analysis needs an input source")
 	}

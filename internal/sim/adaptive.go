@@ -37,8 +37,8 @@ func DefaultAdaptiveSpec(stop float64) AdaptiveSpec {
 // pair, the error estimate being the difference against the single full
 // step. The returned trace has a non-uniform time axis.
 func (e *Engine) TransientAdaptive(spec AdaptiveSpec, probes []string) (*Trace, error) {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "transient-adaptive", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("transient-adaptive", t0, pre)
 	if spec.Stop <= 0 || spec.DtIni <= 0 || spec.DtMin <= 0 || spec.DtMax < spec.DtIni {
 		return nil, fmt.Errorf("sim: invalid adaptive spec %+v", spec)
 	}

@@ -63,8 +63,8 @@ type noiseSource struct {
 // Noise computes the output-referred noise voltage density at the given
 // node over the frequency list, linearized at the operating point xop.
 func (e *Engine) Noise(xop []float64, output string, freqs []float64) (*NoiseResult, error) {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "noise", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("noise", t0, pre)
 	if len(freqs) == 0 {
 		return nil, fmt.Errorf("sim: noise analysis needs frequencies")
 	}

@@ -57,11 +57,14 @@ type Options struct {
 	// rung reruns the strategy under relaxed settings. Nil disables the
 	// ladder, reproducing the pre-ladder solver exactly.
 	Recovery []Relaxation
+	// Probe, when non-nil, observes the engine's analyses: solver
+	// counters, per-analysis histograms and the trace hook (stats.go).
+	// Nil runs unobserved.
+	Probe *Probe
 }
 
-// DefaultOptions returns the solver settings used throughout the repo.
-// The Recovery ladder comes from SetDefaultRecovery (nil unless a retry
-// policy installed one).
+// DefaultOptions returns the solver settings used throughout the repo:
+// no recovery ladder, no probe.
 func DefaultOptions() Options {
 	return Options{
 		AbsTol:      1e-9,
@@ -70,7 +73,6 @@ func DefaultOptions() Options {
 		MaxStep:     0.5,
 		GminFloor:   1e-12,
 		GshuntStart: 1e-3,
-		Recovery:    currentDefaultRecovery(),
 	}
 }
 
@@ -134,7 +136,7 @@ type Engine struct {
 	ctx    device.Context
 
 	stats   Counters
-	flushed Counters // portion of stats already pushed to the totals
+	flushed Counters // portion of stats already added to opts.Probe
 
 	// lr is the registered low-rank fault perturbation, nil unless
 	// EnableLowRank was called (lowrank.go).
@@ -357,8 +359,8 @@ func (e *Engine) OperatingPoint() ([]float64, error) {
 // relaxed settings; the first converging rung wins. With a nil ladder
 // the behavior is identical to the pre-ladder solver.
 func (e *Engine) OperatingPointInto(x []float64) error {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "op", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("op", t0, pre)
 	if e.lr != nil && e.matrixInvariant() {
 		if err := e.woodburyOP(x); err == nil {
 			return nil
@@ -460,8 +462,8 @@ func (e *Engine) solveOperatingPoint(x []float64) error {
 // Newton seed. Swapping the waveform only changes the right-hand side,
 // so the cached linear matrix survives the whole sweep.
 func (e *Engine) SweepDC(source string, values []float64) ([][]float64, error) {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "dc-sweep", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("dc-sweep", t0, pre)
 	d := e.ckt.Device(source)
 	if d == nil {
 		return nil, fmt.Errorf("sim: sweep source %q not found", source)

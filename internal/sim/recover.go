@@ -1,7 +1,5 @@
 package sim
 
-import "sync/atomic"
-
 // Relaxation is one rung of the operating-point recovery ladder: a
 // temporary loosening of the solver settings used to re-attempt a solve
 // that exhausted plain Newton, gmin stepping, and source stepping. The
@@ -31,41 +29,6 @@ func StandardRecovery() []Relaxation {
 		{TolScale: 100, GminFloor: 1e-9, MaxIter: 400},
 		{TolScale: 1e4, GminFloor: 1e-6, MaxIter: 600},
 	}
-}
-
-// defaultRecovery is the process-wide recovery ladder applied by
-// DefaultOptions. Engines are constructed deep inside test-configuration
-// closures, so — like the trace hook and the stats totals — a package
-// atomic is the only seam through which a session-level retry policy can
-// reach every engine. Nil (the initial state) means no ladder: the solver
-// behaves exactly as before the ladder existed.
-var defaultRecovery atomic.Pointer[[]Relaxation]
-
-// SetDefaultRecovery installs ladder as the recovery rungs handed out by
-// DefaultOptions, returning the previous ladder. Passing nil disables
-// recovery for newly built engines. The session layer installs a ladder
-// when a retry policy is enabled and restores the previous value on
-// Close, so concurrent sessions without a policy stay bit-identical to
-// the ladder-free solver.
-func SetDefaultRecovery(ladder []Relaxation) (prev []Relaxation) {
-	var p *[]Relaxation
-	if ladder != nil {
-		l := make([]Relaxation, len(ladder))
-		copy(l, ladder)
-		p = &l
-	}
-	if old := defaultRecovery.Swap(p); old != nil {
-		return *old
-	}
-	return nil
-}
-
-// currentDefaultRecovery returns the installed ladder (nil when none).
-func currentDefaultRecovery() []Relaxation {
-	if p := defaultRecovery.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // apply returns opts with the rung's relaxations applied.

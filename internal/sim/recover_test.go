@@ -109,32 +109,6 @@ func TestRecoveryLadderExhausted(t *testing.T) {
 	}
 }
 
-// TestSetDefaultRecovery: the package default flows into DefaultOptions
-// and restores cleanly, and the installed slice is insulated from caller
-// mutation.
-func TestSetDefaultRecovery(t *testing.T) {
-	ladder := StandardRecovery()
-	prev := SetDefaultRecovery(ladder)
-	defer SetDefaultRecovery(prev)
-
-	got := DefaultOptions().Recovery
-	if len(got) != len(ladder) {
-		t.Fatalf("DefaultOptions().Recovery has %d rungs, want %d", len(got), len(ladder))
-	}
-	ladder[0].MaxIter = -999
-	if DefaultOptions().Recovery[0].MaxIter == -999 {
-		t.Error("SetDefaultRecovery aliased the caller's slice")
-	}
-
-	if SetDefaultRecovery(nil) == nil {
-		t.Error("Swap did not return the installed ladder")
-	}
-	if DefaultOptions().Recovery != nil {
-		t.Error("nil ladder did not disable recovery")
-	}
-	SetDefaultRecovery(prev)
-}
-
 // TestRelaxationApply pins the rung semantics: zero-valued fields leave
 // the option untouched.
 func TestRelaxationApply(t *testing.T) {

@@ -1,11 +1,17 @@
 package sim
 
-import "sync/atomic"
+import (
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/obs/hist"
+)
 
 // Counters tallies the work the simulation kernel performs. Engines
 // accumulate them locally (an Engine is single-goroutine by contract)
-// and flush deltas into the package-wide atomic totals at solve
-// boundaries, so the hot loop pays no synchronization.
+// and flush deltas into their Probe at solve boundaries, so the hot
+// loop pays no synchronization.
 type Counters struct {
 	// Stamps counts device stamp calls (linear assemblies plus
 	// per-iteration nonlinear re-stamps).
@@ -40,7 +46,7 @@ type Counters struct {
 	// cycles the low-rank machinery avoided: Woodbury solves served
 	// without refactoring the retained base, plus retained-evaluator
 	// evaluations upstream that skipped a full insert+compile+factor
-	// (see AddFaultyFactorAvoided).
+	// (credited with Probe.Add).
 	FaultyFactorAvoided uint64
 }
 
@@ -79,89 +85,103 @@ func (c Counters) Sub(d Counters) Counters {
 	}
 }
 
-// totals is the process-wide tally. Engines are created deep inside
-// test-configuration closures, so a package-level accumulator is the
-// only place the evaluation engine's metrics can observe solver work
-// without threading a sink through every constructor.
-var totals struct {
-	stamps           atomic.Uint64
-	factorizations   atomic.Uint64
-	factorReuses     atomic.Uint64
-	newtonIterations atomic.Uint64
-	solves           atomic.Uint64
-	baseBuilds       atomic.Uint64
-	baseHits         atomic.Uint64
-	recoveryAttempts atomic.Uint64
-	recoveries       atomic.Uint64
+// Probe observes the analyses of every engine whose Options carry it:
+// it sums their solver counters, records each analysis kind's wall time
+// and Newton iteration count into histograms, and reports every
+// analysis to an optional TraceHook. Whoever builds the engines owns the
+// probe — a core.Session holds one for all its simulations — so its
+// numbers cover exactly that owner's work. A Probe is safe for
+// concurrent use; a nil *Probe observes nothing.
+type Probe struct {
+	hook TraceHook
 
-	woodburySolves      atomic.Uint64
-	woodburyFallbacks   atomic.Uint64
-	faultyFactorAvoided atomic.Uint64
+	mu       sync.Mutex
+	counters Counters
+
+	// wall holds one wall-time histogram per analysis kind; the map is
+	// built by NewProbe and only read afterwards. iters is the Newton
+	// iteration count per analysis.
+	wall  map[string]*hist.Histogram
+	iters *hist.Histogram
 }
 
-// Totals returns the process-wide solver counters, summed over every
-// engine since the last ResetTotals.
-func Totals() Counters {
-	return Counters{
-		Stamps:           totals.stamps.Load(),
-		Factorizations:   totals.factorizations.Load(),
-		FactorReuses:     totals.factorReuses.Load(),
-		NewtonIterations: totals.newtonIterations.Load(),
-		Solves:           totals.solves.Load(),
-		BaseBuilds:       totals.baseBuilds.Load(),
-		BaseHits:         totals.baseHits.Load(),
-		RecoveryAttempts: totals.recoveryAttempts.Load(),
-		Recoveries:       totals.recoveries.Load(),
+// NewProbe returns an empty probe that also reports each analysis to
+// hook (nil: no hook).
+func NewProbe(hook TraceHook) *Probe {
+	p := &Probe{hook: hook, wall: make(map[string]*hist.Histogram), iters: hist.New()}
+	for _, kind := range []string{"op", "dc-sweep", "ac", "noise", "transient", "transient-adaptive"} {
+		p.wall[kind] = hist.New()
+	}
+	return p
+}
 
-		WoodburySolves:      totals.woodburySolves.Load(),
-		WoodburyFallbacks:   totals.woodburyFallbacks.Load(),
-		FaultyFactorAvoided: totals.faultyFactorAvoided.Load(),
+// Add credits d to the probe's counters. Engines add their counter
+// deltas at solve boundaries; layers above the kernel add work they
+// avoided on its behalf (the retained fault evaluators in internal/core
+// credit FaultyFactorAvoided).
+func (p *Probe) Add(d Counters) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.counters.Add(d)
+	p.mu.Unlock()
+}
+
+// Counters returns the solver counters summed so far.
+func (p *Probe) Counters() Counters {
+	if p == nil {
+		return Counters{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.counters
+}
+
+// Histograms snapshots the non-empty histograms, sorted by name:
+// "sim.<kind>" holds the wall times (nanoseconds) of one analysis kind
+// ("sim.op", "sim.dc-sweep", "sim.ac", "sim.noise", "sim.transient",
+// "sim.transient-adaptive"), and "sim.newton_iters" the Newton
+// iterations of every analysis. Each analysis records exactly one entry
+// into its kind's histogram and one into "sim.newton_iters".
+func (p *Probe) Histograms() []hist.NamedSnapshot {
+	if p == nil {
+		return nil
+	}
+	var out []hist.NamedSnapshot
+	add := func(name string, h *hist.Histogram) {
+		if s := h.Snapshot(); s.Count > 0 {
+			out = append(out, hist.NamedSnapshot{Name: name, Snapshot: s})
+		}
+	}
+	for kind, h := range p.wall {
+		add("sim."+kind, h)
+	}
+	add("sim.newton_iters", p.iters)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// record observes one completed analysis.
+func (p *Probe) record(kind string, d time.Duration, delta Counters) {
+	p.wall[kind].RecordDuration(d)
+	p.iters.Record(int64(delta.NewtonIterations))
+	if p.hook != nil {
+		p.hook(kind, d, delta)
 	}
 }
 
-// AddFaultyFactorAvoided credits n avoided faulty factor-from-scratch
-// cycles to the process-wide totals. It is the hook for layers above the
-// kernel (the retained fault evaluators in internal/core) that avoid a
-// full insert+compile+factor without going through an Engine counter.
-func AddFaultyFactorAvoided(n uint64) {
-	totals.faultyFactorAvoided.Add(n)
-}
-
-// ResetTotals zeroes the process-wide counters (benchmarks, tests).
-func ResetTotals() {
-	totals.stamps.Store(0)
-	totals.factorizations.Store(0)
-	totals.factorReuses.Store(0)
-	totals.newtonIterations.Store(0)
-	totals.solves.Store(0)
-	totals.baseBuilds.Store(0)
-	totals.baseHits.Store(0)
-	totals.recoveryAttempts.Store(0)
-	totals.recoveries.Store(0)
-	totals.woodburySolves.Store(0)
-	totals.woodburyFallbacks.Store(0)
-	totals.faultyFactorAvoided.Store(0)
-}
-
-// flushStats pushes the engine's counter delta since the previous flush
-// into the package totals. Called at solve boundaries, not per
-// iteration.
+// flushStats adds the engine's counter delta since the previous flush
+// to its probe. Called at solve boundaries, not per iteration.
 func (e *Engine) flushStats() {
+	p := e.opts.Probe
+	if p == nil {
+		return
+	}
 	d := e.stats.Sub(e.flushed)
 	if d == (Counters{}) {
 		return
 	}
 	e.flushed = e.stats
-	totals.stamps.Add(d.Stamps)
-	totals.factorizations.Add(d.Factorizations)
-	totals.factorReuses.Add(d.FactorReuses)
-	totals.newtonIterations.Add(d.NewtonIterations)
-	totals.solves.Add(d.Solves)
-	totals.baseBuilds.Add(d.BaseBuilds)
-	totals.baseHits.Add(d.BaseHits)
-	totals.recoveryAttempts.Add(d.RecoveryAttempts)
-	totals.recoveries.Add(d.Recoveries)
-	totals.woodburySolves.Add(d.WoodburySolves)
-	totals.woodburyFallbacks.Add(d.WoodburyFallbacks)
-	totals.faultyFactorAvoided.Add(d.FaultyFactorAvoided)
+	p.Add(d)
 }

@@ -31,8 +31,8 @@ func (t *Trace) Len() int { return len(t.Times) }
 // trapezoidal. A step that fails to converge is retried with up to 8
 // binary subdivisions before the analysis gives up.
 func (e *Engine) Transient(stop, dt float64, probes []string) (*Trace, error) {
-	h, t0, pre := e.traceStart()
-	defer e.traceEnd(h, "transient", t0, pre)
+	t0, pre := e.traceStart()
+	defer e.traceEnd("transient", t0, pre)
 	if stop <= 0 || dt <= 0 {
 		return nil, fmt.Errorf("sim: invalid transient window stop=%g dt=%g", stop, dt)
 	}

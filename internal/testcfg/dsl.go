@@ -280,12 +280,12 @@ func splitArgs(s string) []string {
 }
 
 // buildDSLRunner assembles the measurement procedure.
-func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) Runner {
-	return func(ckt *circuit.Circuit, T []float64) ([]float64, error) {
+func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) optsRunner {
+	return func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error) {
 		switch stim.kind {
 		case "dc":
 			macros.SetInputWave(ckt, wave.DC(T[refIdx[0]]))
-			return runDCReturn(ckt, ret)
+			return runDCReturn(ckt, ret, opts)
 		case "sine":
 			freq := T[refIdx[1]]
 			macros.SetInputWave(ckt, wave.Sine{
@@ -294,9 +294,9 @@ func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) Runner {
 			if ret.kind != "thd" {
 				// DC-style return on a sine stimulus: operating point at
 				// the offset.
-				return runDCReturn(ckt, ret)
+				return runDCReturn(ckt, ret, opts)
 			}
-			e, err := sim.New(ckt, simOptions())
+			e, err := sim.New(ckt, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -321,7 +321,7 @@ func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) Runner {
 				Base: T[refIdx[0]], Elev: T[refIdx[1]],
 				Delay: stim.consts[0], Rise: stim.consts[1],
 			})
-			e, err := sim.New(ckt, simOptions())
+			e, err := sim.New(ckt, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -343,8 +343,8 @@ func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) Runner {
 }
 
 // runDCReturn evaluates vdc/idd returns from an operating point.
-func runDCReturn(ckt *circuit.Circuit, ret *dslReturn) ([]float64, error) {
-	e, err := sim.New(ckt, simOptions())
+func runDCReturn(ckt *circuit.Circuit, ret *dslReturn, opts sim.Options) ([]float64, error) {
+	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}

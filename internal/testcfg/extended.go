@@ -33,10 +33,10 @@ func sinadConfig() *Config {
 			{Name: "freq", Unit: "Hz", Lo: 1e3, Hi: 100e3, Seed: 10e3},
 		},
 		Returns: []Return{{Name: "SINAD(Vout)", Unit: "dB", Accuracy: 0.5}},
-		run: func(ckt *circuit.Circuit, T []float64) ([]float64, error) {
+		run: func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error) {
 			iindc, freq := T[0], T[1]
 			macros.SetInputWave(ckt, wave.Sine{Offset: iindc, Amplitude: 5e-6, Freq: freq})
-			e, err := sim.New(ckt, simOptions())
+			e, err := sim.New(ckt, opts)
 			if err != nil {
 				return nil, err
 			}

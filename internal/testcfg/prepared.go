@@ -26,11 +26,12 @@ import (
 // be bit-identical to a freshly built engine.
 
 // analysis is the simulate step of built-in configurations: prep builds
-// an evaluator that applies the stimulus for T to a compiled circuit and
-// runs one simulation. Configurations sharing an analysis differ only in
-// their measure step, so one simulation serves all of them.
+// an evaluator whose engine uses opts and that applies the stimulus for
+// T to a compiled circuit and runs one simulation. Configurations
+// sharing an analysis differ only in their measure step, so one
+// simulation serves all of them.
 type analysis struct {
-	prep func(ckt *circuit.Circuit) (*Evaluator, error)
+	prep func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error)
 }
 
 // outcome is what one simulation hands the measure steps: the engine and
@@ -76,16 +77,16 @@ type Evaluator struct {
 func (c *Config) CanPrepare() bool { return c.an != nil }
 
 // Prepare validates the macro interface, clones the circuit once, and
-// builds a retained evaluator. The clone is owned by the evaluator; the
-// input circuit is never modified.
-func (c *Config) Prepare(ckt *circuit.Circuit) (*Evaluator, error) {
+// builds a retained evaluator whose engine uses opts. The clone is owned
+// by the evaluator; the input circuit is never modified.
+func (c *Config) Prepare(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
 	if c.an == nil {
 		return nil, fmt.Errorf("testcfg %s: configuration has no prepared evaluator", c.Name)
 	}
 	if err := ValidateMacro(ckt); err != nil {
 		return nil, err
 	}
-	ev, err := c.an.prep(ckt.Clone())
+	ev, err := c.an.prep(ckt.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/macros"
+	"repro/internal/sim"
 )
 
 // TestPreparedBitIdentical: for every built-in configuration, a retained
@@ -19,7 +20,7 @@ func TestPreparedBitIdentical(t *testing.T) {
 			t.Errorf("config #%d has no prepared evaluator", c.ID)
 			continue
 		}
-		ev, err := c.Prepare(ckt)
+		ev, err := c.Prepare(ckt, sim.DefaultOptions())
 		if err != nil {
 			t.Fatalf("config #%d: %v", c.ID, err)
 		}
@@ -61,7 +62,7 @@ func perturbSeeds(c *Config) []float64 {
 func TestPreparedWarmAgrees(t *testing.T) {
 	ckt := macros.IVConverter()
 	for _, c := range IVConfigs()[:2] {
-		ev, err := c.Prepare(ckt)
+		ev, err := c.Prepare(ckt, sim.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,12 +95,12 @@ func TestPreparedValidation(t *testing.T) {
 	if custom.CanPrepare() {
 		t.Error("custom configuration reports CanPrepare")
 	}
-	if _, err := custom.Prepare(macros.IVConverter()); err == nil {
+	if _, err := custom.Prepare(macros.IVConverter(), sim.DefaultOptions()); err == nil {
 		t.Error("Prepare on a custom configuration succeeded")
 	}
 
 	c := IVConfigs()[0]
-	ev, err := c.Prepare(macros.IVConverter())
+	ev, err := c.Prepare(macros.IVConverter(), sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

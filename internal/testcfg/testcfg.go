@@ -46,6 +46,10 @@ type Return struct {
 // circuit at parameter vector T and produces the return values.
 type Runner func(ckt *circuit.Circuit, T []float64) ([]float64, error)
 
+// optsRunner is a Runner that builds its engines with the caller's
+// solver options.
+type optsRunner func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error)
+
 // Config is a test configuration implementation.
 type Config struct {
 	// ID is the paper's configuration number (1-based).
@@ -66,13 +70,14 @@ type Config struct {
 	// configuration is an opaque runner instead (an == nil).
 	an      *analysis
 	measure func(o outcome) ([]float64, error)
-	run     Runner
+	run     optsRunner
 }
 
 // NewCustom builds a configuration around a caller-supplied runner. It
 // is the extension point for test configurations outside this package —
 // and for the chaos tests, which need runners that panic or refuse to
-// converge on demand.
+// converge on demand. The runner builds its own engines, so the solver
+// options a caller passes to RunGroup do not reach it.
 func NewCustom(id int, name string, params []Param, returns []Return, run Runner) *Config {
 	return &Config{
 		ID:      id,
@@ -80,7 +85,9 @@ func NewCustom(id int, name string, params []Param, returns []Return, run Runner
 		Macro:   "iv-converter",
 		Params:  params,
 		Returns: returns,
-		run:     run,
+		run: func(ckt *circuit.Circuit, T []float64, _ sim.Options) ([]float64, error) {
+			return run(ckt, T)
+		},
 	}
 }
 
@@ -116,8 +123,10 @@ func (c *Config) Check(T []float64) error {
 // Run clones the circuit, applies the stimulus for parameter vector T and
 // returns the measured return values. The input circuit is not modified,
 // so nominal, faulty and corner variants can share one golden netlist.
+// It simulates unobserved on sim.DefaultOptions; RunGroup takes the
+// options.
 func (c *Config) Run(ckt *circuit.Circuit, T []float64) ([]float64, error) {
-	r, err := RunGroup([]*Config{c}, ckt, T)
+	r, err := RunGroup([]*Config{c}, ckt, T, sim.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -145,13 +154,14 @@ func SharesAnalysis(a, b *Config) bool {
 // it clones the circuit, runs the shared simulation once at T and
 // returns each configuration's return values, in order — each
 // bit-identical to that configuration's own Run. cfgs[0] validates T;
-// every other entry must share its analysis (SharesAnalysis). A
-// built-in configuration runs through a throwaway Evaluator, so the
-// throwaway and the retained path are one piece of code.
-func RunGroup(cfgs []*Config, ckt *circuit.Circuit, T []float64) ([][]float64, error) {
+// every other entry must share its analysis (SharesAnalysis). Every
+// engine the run builds uses opts. A built-in configuration runs
+// through a throwaway Evaluator, so the throwaway and the retained path
+// are one piece of code.
+func RunGroup(cfgs []*Config, ckt *circuit.Circuit, T []float64, opts sim.Options) ([][]float64, error) {
 	c := cfgs[0]
 	if c.an != nil {
-		ev, err := c.Prepare(ckt)
+		ev, err := c.Prepare(ckt, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +173,7 @@ func RunGroup(cfgs []*Config, ckt *circuit.Circuit, T []float64) ([][]float64, e
 	if err := ValidateMacro(ckt); err != nil {
 		return nil, err
 	}
-	r, err := c.run(ckt.Clone(), T)
+	r, err := c.run(ckt.Clone(), T, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +241,6 @@ const (
 	stepRise       = 10e-9
 )
 
-// simOptions returns solver settings for configuration runs.
-func simOptions() sim.Options { return sim.DefaultOptions() }
-
 // IVConfigs returns the five test configuration implementations of the
 // paper's Table 1 for the IV-converter macro type.
 func IVConfigs() []*Config {
@@ -270,8 +277,8 @@ var (
 // engine on the compiled circuit with a cold recipe (zeroed Newton
 // guess, bit-identical to a fresh engine) and a warm recipe (previous
 // solution as the seed).
-func opPrep(ckt *circuit.Circuit) (*Evaluator, error) {
-	e, err := sim.New(ckt, simOptions())
+func opPrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +387,8 @@ func thdConfig() *Config {
 // analysis keeps no state across calls (operating point, step history
 // and companion states are rebuilt per run), so it needs no cold/warm
 // split: every run is exact.
-func sinePrep(ckt *circuit.Circuit) (*Evaluator, error) {
-	e, err := sim.New(ckt, simOptions())
+func sinePrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -402,8 +409,8 @@ func sinePrep(ckt *circuit.Circuit) (*Evaluator, error) {
 
 // stepPrep is the simulate step shared by configurations #4/#5: the
 // step stimulus and the 100 MHz Vout sample comb.
-func stepPrep(ckt *circuit.Circuit) (*Evaluator, error) {
-	e, err := sim.New(ckt, simOptions())
+func stepPrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
