@@ -151,7 +151,7 @@ func (s *Session) GenerateContext(ctx context.Context, f fault.Fault) (*Solution
 	}
 	sol, err := s.selectTest(ctx, f, cands)
 	if err == nil {
-		err = s.memo.failure()
+		err = s.crossCheckFailure()
 	}
 	if err != nil {
 		return nil, err
@@ -685,7 +685,7 @@ func (s *Session) finishFault(ctx context.Context, f fault.Fault, cands []Candid
 	} else if err != nil {
 		return fmt.Errorf("core: fault %s: %w", f.ID(), err)
 	}
-	if err := s.memo.failure(); err != nil {
+	if err := s.crossCheckFailure(); err != nil {
 		// Under a retry policy selection drops candidates whose
 		// evaluation failed; a CrossCheck mismatch must fail the run.
 		return fmt.Errorf("core: fault %s: %w", f.ID(), err)

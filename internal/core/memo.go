@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/engine"
@@ -42,22 +41,10 @@ type analysisMemo struct {
 	// plant, set only by tests, rewrites every served entry, so the
 	// CrossCheck path has a planted mismatch to catch.
 	plant func([][]float64) [][]float64
-	// failed latches the first CrossCheck mismatch. The optimizer turns
-	// evaluation errors into poisoned points, so generation re-reads the
-	// latch to fail the run.
-	failed atomic.Pointer[error]
 }
 
 func newAnalysisMemo() *analysisMemo {
 	return &analysisMemo{cache: engine.NewCache[[][]float64](memoEntries, 0)}
-}
-
-// failure returns the latched CrossCheck mismatch, or nil.
-func (m *analysisMemo) failure() error {
-	if p := m.failed.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // circuitID names the circuit an analysis runs on, exactly: the golden
@@ -93,7 +80,8 @@ func (s *Session) build(id circuitID) (*circuit.Circuit, error) {
 	return s.golden, nil
 }
 
-// simulate runs the analysis of a group on a fresh copy of circuit id.
+// simulate runs the analysis of a group on a fresh copy of circuit id:
+// the oracle CrossCheck compares memo hits and pooled runs with.
 func (s *Session) simulate(id circuitID, cfgs []*testcfg.Config, T []float64) ([][]float64, error) {
 	ckt, err := s.build(id)
 	if err != nil {
@@ -139,17 +127,18 @@ type groupRun func(cfgs []*testcfg.Config) ([][]float64, error)
 // The simulation runs once per session for every configuration of ci's
 // group; a later request for any of them on the same circuit at the
 // same T is served from the memo (served = true) without simulating.
-// run computes a miss (nil: testcfg.RunGroup on a fresh copy of the
-// circuit). Concurrent misses on one key simulate once. Errors are never
-// stored or shared: a caller whose joined flight failed runs the
-// analysis itself, exactly as without the memo. Under Config.CrossCheck
-// every served entry is recomputed on a fresh circuit and compared bit for
-// bit; a difference is returned as an error wrapping errMemoMismatch.
+// run computes a miss (nil: a pooled evaluator of the golden macro or a
+// corner, runPooled). Concurrent misses on one key simulate once. Errors
+// are never stored or shared: a caller whose joined flight failed runs
+// the analysis itself, exactly as without the memo. Under
+// Config.CrossCheck every served entry is recomputed on a fresh circuit
+// and compared bit for bit; a difference is returned as an error
+// wrapping errMemoMismatch.
 func (s *Session) analyze(id circuitID, ci int, T []float64, run groupRun) (vals []float64, served bool, err error) {
 	g := s.groupOf[ci]
 	cfgs := s.groups[g]
 	if run == nil {
-		run = func(cfgs []*testcfg.Config) ([][]float64, error) { return s.simulate(id, cfgs, T) }
+		run = func(cfgs []*testcfg.Config) ([][]float64, error) { return s.runPooled(id, g, cfgs, T) }
 	}
 	ran := false
 	all, _, err := s.memo.cache.GetOrCompute(memoKey(id, g, T), func() ([][]float64, error) {
@@ -177,21 +166,38 @@ func (s *Session) analyze(id circuitID, ci int, T []float64, run groupRun) (vals
 }
 
 // verifyServed recomputes a served entry on a freshly built circuit and
-// requires every group member's values to match bit for bit. The first
-// mismatch is latched so the run fails even where evaluation errors are
-// otherwise absorbed.
+// requires every group member's values to match bit for bit.
 func (s *Session) verifyServed(id circuitID, ci int, T []float64, served [][]float64) error {
-	cfgs := s.groups[s.groupOf[ci]]
+	if err := s.verify(id, s.groups[s.groupOf[ci]], T, served); err != nil {
+		return s.latch(fmt.Errorf("%w: config #%d at %v: %w", errMemoMismatch, s.configs[ci].ID, T, err))
+	}
+	return nil
+}
+
+// verify recomputes the analysis of cfgs on a freshly built copy of
+// circuit id and reports the first value of got whose bits differ.
+func (s *Session) verify(id circuitID, cfgs []*testcfg.Config, T []float64, got [][]float64) error {
 	fresh, err := s.simulate(id, cfgs, T)
-	if err == nil {
-		err = sameBits(cfgs, served, fresh)
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		return nil
-	}
-	err = fmt.Errorf("%w: config #%d at %v: %w", errMemoMismatch, s.configs[ci].ID, T, err)
-	s.memo.failed.CompareAndSwap(nil, &err)
+	return sameBits(cfgs, got, fresh)
+}
+
+// latch records the session's first CrossCheck failure and returns err.
+// The optimizer turns evaluation errors into poisoned points, so
+// generation re-reads the latch (crossCheckFailure) to fail the run.
+func (s *Session) latch(err error) error {
+	s.crossFailed.CompareAndSwap(nil, &err)
 	return err
+}
+
+// crossCheckFailure returns the latched CrossCheck failure, or nil.
+func (s *Session) crossCheckFailure() error {
+	if p := s.crossFailed.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // sameBits reports the first return value whose bits differ.

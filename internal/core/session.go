@@ -151,8 +151,9 @@ func DefaultConfig() Config {
 
 // Session binds a golden macro netlist to its test configurations and
 // tolerance-box functions, memoizes nominal responses in a sharded
-// single-flight cache, and runs each distinct box-build and faulty
-// analysis once (memo.go). A Session is safe for concurrent use.
+// single-flight cache, runs each distinct box-build and faulty analysis
+// once (memo.go), and keeps the engines of its nominal and box-build
+// analyses for reuse (pool.go). A Session is safe for concurrent use.
 type Session struct {
 	golden  *circuit.Circuit
 	configs []*testcfg.Config
@@ -168,6 +169,9 @@ type Session struct {
 	groups            [][]*testcfg.Config
 	groupOf, memberOf []int
 	memo              *analysisMemo
+	pool              *evalPool
+	// crossFailed latches the first CrossCheck failure (latch).
+	crossFailed atomic.Pointer[error]
 
 	nominalRuns atomic.Int64
 	cacheHits   atomic.Int64
@@ -295,6 +299,7 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 			CacheEntries: cfg.CacheEntries,
 		}),
 		memo: newAnalysisMemo(),
+		pool: newEvalPool(),
 	}
 	s.groups, s.groupOf, s.memberOf = groupConfigs(configs)
 	s.eng.SetTracer(cfg.Tracer)
@@ -326,6 +331,7 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 		return nil, err
 	}
 	s.boxes = boxes
+	s.pool.dropCorners()
 	return s, nil
 }
 
@@ -441,15 +447,18 @@ func nomKey(ci int, T []float64) string {
 // Nominal returns the fault-free return values of configuration ci at
 // parameters T, memoized in the sharded single-flight cache: concurrent
 // misses on the same parameter point run one simulation and share it.
-// A miss simulates without asking the analysis memo: which exact T
-// fills a quantized key depends on the order faults are generated in,
-// so a memo lookup here would make the simulation count depend on it
-// (DESIGN.md §16).
+// A miss simulates on a pooled golden evaluator (pool.go) without asking
+// the analysis memo: which exact T fills a quantized key depends on the
+// order faults are generated in, so a memo lookup here would make the
+// simulation count depend on it (DESIGN.md §16).
 func (s *Session) Nominal(ci int, T []float64) ([]float64, error) {
 	r, hit, err := s.eng.Cache().GetOrCompute(nomKey(ci, T), func() ([]float64, error) {
-		r, err := s.run(s.configs[ci], s.golden, T)
+		r, err := s.runPooled(goldenID, s.groupOf[ci], s.configs[ci:ci+1], T)
 		s.nominalRuns.Add(1)
-		return r, err
+		if err != nil {
+			return nil, err
+		}
+		return r[0], nil
 	})
 	if hit {
 		s.cacheHits.Add(1)

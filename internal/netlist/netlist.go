@@ -21,6 +21,10 @@
 // "step(base elev delay rise)", "pulse(lo hi delay rise fall width
 // period)" or "pwl(t1 v1 t2 v2 ...)". Values accept SI suffixes
 // (f p n u m k meg g t) as in SPICE.
+//
+// Device names must be unique, and R, C and L values, MOSFET w and l,
+// and BJT model is, bf and br must be positive; Parse reports a
+// line-numbered error for any that are not.
 package netlist
 
 import (
@@ -230,6 +234,9 @@ func (p *parser) parseModel(body string) error {
 				return fmt.Errorf("unknown BJT model parameter %q", k)
 			}
 		}
+		if m.IS <= 0 || m.BF <= 0 || m.BR <= 0 {
+			return fmt.Errorf("BJT model %s: is=%g, bf=%g and br=%g must be positive", name, m.IS, m.BF, m.BR)
+		}
 		p.bjtModels[name] = m
 	default:
 		return fmt.Errorf("unsupported model type %q", typ)
@@ -314,6 +321,9 @@ func (p *parser) parseDevice(c *circuit.Circuit, body string) error {
 		return nil
 	}
 	name := fields[0]
+	if c.Device(name) != nil {
+		return fmt.Errorf("duplicate device name %q", name)
+	}
 	kind := elementKind(name)
 	args := fields[1:]
 	need := func(n int) error {
@@ -330,6 +340,9 @@ func (p *parser) parseDevice(c *circuit.Circuit, body string) error {
 		v, err := ParseValue(args[2])
 		if err != nil {
 			return err
+		}
+		if v <= 0 {
+			return fmt.Errorf("device %s: value %s must be positive", name, args[2])
 		}
 		switch kind {
 		case "R":
@@ -415,6 +428,9 @@ func (p *parser) parseDevice(c *circuit.Circuit, body string) error {
 			default:
 				return fmt.Errorf("unknown MOSFET parameter %q", k)
 			}
+		}
+		if w <= 0 || l <= 0 {
+			return fmt.Errorf("MOSFET %s: w=%g and l=%g must be positive", name, w, l)
 		}
 		mm := *model // per-instance copy so corners stay independent
 		c.Add(device.NewMOSFET(name, args[0], args[1], args[2], &mm, w, l))

@@ -242,3 +242,22 @@ Vg g 0 2
 		t.Errorf("Format output:\n%s", text)
 	}
 }
+
+// TestParseRejectsPanickingValues: values the device constructors and
+// circuit.Add would panic on come back as line-numbered parse errors.
+func TestParseRejectsPanickingValues(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"V1 a 0 1\nR1 a 0 0\n", "netlist line 2: device R1: value 0 must be positive"},
+		{"C1 a 0 0\n", "netlist line 1: device C1: value 0 must be positive"},
+		{"L1 a 0 -1u\n", "netlist line 1: device L1: value -1u must be positive"},
+		{"R1 a 0 1k\n* comment\nR1 a b 2k\n", `netlist line 3: duplicate device name "R1"`},
+		{".model nm nmos\nM1 d g 0 nm W=0\n", "netlist line 2: MOSFET M1: w=0 and l=1e-06 must be positive"},
+		{".model nm nmos\nM1 d g 0 nm L=-1u\n", "netlist line 2: MOSFET M1: w=1e-05 and l=-1e-06 must be positive"},
+		{".model qn npn BF=0\nQ1 c b 0 qn\n", "netlist line 1: BJT model qn: is=1e-15, bf=0 and br=2 must be positive"},
+	} {
+		_, err := ParseString(tc.src, "bad")
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("netlist %q: error %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 // instantiation lines. Instances are flattened at parse time — internal
 // nodes and device names are prefixed with the instance path
 // ("X1.node"), ports are substituted with the caller's nets, and nested
-// subcircuits expand recursively up to a fixed depth.
+// subcircuits expand recursively up to a fixed depth and a fixed flattened
+// size.
 //
 //	.subckt NAME port1 port2 ...
 //	R1 port1 n1 10k        ; n1 is internal -> X?.n1
@@ -20,6 +21,10 @@ import (
 // names everywhere else in this package.
 
 const maxSubcktDepth = 16
+
+// maxFlatLines bounds the flattened netlist: nested instances multiply,
+// so a few lines of subcircuits could otherwise expand beyond memory.
+const maxFlatLines = 1 << 16
 
 // elementKind returns the element letter of a (possibly instance-
 // prefixed) device name: "X1.R5" -> "R".
@@ -122,6 +127,9 @@ func expandInstances(lines []string, defs map[string]*subckt, depth int) ([]stri
 				return nil, fmt.Errorf("line %s (in %s): %w", bn, instName, err)
 			}
 			out = append(out, bn+" "+rewritten)
+		}
+		if len(out) > maxFlatLines {
+			return nil, fmt.Errorf("line %s: subcircuit expansion exceeds %d lines", n, maxFlatLines)
 		}
 	}
 	// Another pass if any X lines came out of the expansion.

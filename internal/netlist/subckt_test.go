@@ -187,6 +187,17 @@ X1 n loop
 	}
 }
 
+// TestSubcktExpansionBounded: three instances per level of a recursive
+// definition would flatten to 3^16 lines before the depth bound fires;
+// the size bound stops the expansion first.
+func TestSubcktExpansionBounded(t *testing.T) {
+	src := ".subckt a p\nX1 p a\nX2 p a\nX3 p a\n.ends\nX p a\n"
+	_, err := ParseString(src, "bomb")
+	if want := "netlist: line 4: subcircuit expansion exceeds 65536 lines"; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
 func TestSubcktGroundStaysGlobal(t *testing.T) {
 	src := `
 .subckt g a

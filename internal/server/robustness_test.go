@@ -266,3 +266,31 @@ func TestRestartWithPartialJobData(t *testing.T) {
 	st := submit(t, hs2.URL, api.JobRequest{V: 1})
 	waitState(t, hs2.URL, st.ID, api.StateSucceeded)
 }
+
+// TestBadInlineNetlistFailsJob: an inline netlist the parser rejects
+// fails its own job with the parse error — it used to panic the job
+// goroutine and take the daemon down — and the daemon runs the next job
+// as usual.
+func TestBadInlineNetlistFailsJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real ATPG run; skipped under -short")
+	}
+	_, hs := newTestServer(t, Options{}, nil)
+	bad := submit(t, hs.URL, api.JobRequest{
+		V:       1,
+		Macro:   api.MacroSpec{Netlist: "C1 a 0 0\n"},
+		Faults:  api.FaultSpec{Limit: 1},
+		Options: api.RunOptions{BoxMode: api.BoxModeSeed},
+	})
+	st := waitState(t, hs.URL, bad.ID, api.StateFailed)
+	if want := "netlist line 1: device C1: value 0 must be positive"; !strings.Contains(st.Error, want) {
+		t.Errorf("failed job's error %q does not carry the parse error %q", st.Error, want)
+	}
+	good := submit(t, hs.URL, api.JobRequest{
+		V:       1,
+		Macro:   api.MacroSpec{Builtin: api.MacroSimpleIVConverter},
+		Faults:  api.FaultSpec{Limit: 1},
+		Options: api.RunOptions{BoxMode: api.BoxModeSeed, Workers: 1, OptTol: 0.5},
+	})
+	waitSucceeded(t, hs.URL, good.ID)
+}

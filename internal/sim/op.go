@@ -134,6 +134,10 @@ type Engine struct {
 	prevX  []float64 // source-stepping rollback
 	trialX []float64 // transient trial vector
 	ctx    device.Context
+	// Transient probes resolved per run: unknown indices (-1: ground)
+	// and the trace slices they fill.
+	probeIdx []int
+	probeSig [][]float64
 
 	stats   Counters
 	flushed Counters // portion of stats already added to opts.Probe

@@ -232,6 +232,73 @@ func TestTransientRecordsTimeAxis(t *testing.T) {
 	}
 }
 
+// TestTransientIntoRefills: a trace refilled by TransientInto holds
+// exactly what a fresh Transient records — whatever run filled it
+// before, shorter, longer or with other probes — and keeps its slices
+// once they are large enough.
+func TestTransientIntoRefills(t *testing.T) {
+	c := circuit.New("rc")
+	c.Add(device.NewVSource("V1", "in", "0", wave.Step{Base: 0, Elev: 1, Delay: 1e-7, Rise: 1e-8}))
+	c.Add(device.NewResistor("R1", "in", "out", 1e3))
+	c.Add(device.NewCapacitor("C1", "out", "0", 1e-9))
+	e := newEngine(t, c)
+	var tr Trace
+	for _, run := range []struct {
+		stop   float64
+		probes []string
+	}{
+		{2e-6, []string{"out"}},
+		{1e-6, []string{"in", "0"}},
+		{3e-6, []string{"out", "in"}},
+		{3e-6, []string{"out", "in"}},
+	} {
+		prev := tr.Times
+		if err := e.TransientInto(&tr, run.stop, 1e-8, run.probes); err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Transient(run.stop, 1e-8, run.probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(prev) >= len(want.Times) && &tr.Times[0] != &prev[:1][0] {
+			t.Errorf("stop %g: time axis reallocated although it had room", run.stop)
+		}
+		if len(tr.Signals) != len(run.probes) {
+			t.Errorf("stop %g: %d signals, want %d", run.stop, len(tr.Signals), len(run.probes))
+		}
+		for _, p := range append([]string{"time"}, run.probes...) {
+			got, exp := tr.Times, want.Times
+			if p != "time" {
+				got, exp = tr.Signal(p), want.Signal(p)
+			}
+			if len(got) != len(exp) {
+				t.Fatalf("stop %g %s: %d samples, want %d", run.stop, p, len(got), len(exp))
+			}
+			for i := range exp {
+				if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
+					t.Fatalf("stop %g %s[%d] = %g, want %g", run.stop, p, i, got[i], exp[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTransientUnknownProbe: an unknown probe node is an error, found
+// before the analysis simulates anything.
+func TestTransientUnknownProbe(t *testing.T) {
+	c := circuit.New("r")
+	c.Add(device.NewDCVSource("V1", "in", "0", 1))
+	c.Add(device.NewResistor("R1", "in", "0", 1e3))
+	e := newEngine(t, c)
+	_, err := e.Transient(1e-6, 1e-7, []string{"in", "Nope"})
+	if want := `sim: transient probe: unknown node "Nope"`; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if st := e.Stats(); st.NewtonIterations != 0 {
+		t.Errorf("%d Newton iterations before the probe was rejected", st.NewtonIterations)
+	}
+}
+
 func TestTransientRejectsBadWindow(t *testing.T) {
 	c := circuit.New("r")
 	c.Add(device.NewDCVSource("V1", "in", "0", 1))

@@ -279,9 +279,13 @@ func splitArgs(s string) []string {
 	return out
 }
 
-// buildDSLRunner assembles the measurement procedure.
+// buildDSLRunner assembles the measurement procedure. A return node the
+// macro lacks fails the run before anything is simulated.
 func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) optsRunner {
 	return func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error) {
+		if ret.node != "" && !ckt.HasNode(ret.node) {
+			return nil, fmt.Errorf("testcfg dsl: node %q missing", ret.node)
+		}
 		switch stim.kind {
 		case "dc":
 			macros.SetInputWave(ckt, wave.DC(T[refIdx[0]]))
@@ -354,9 +358,6 @@ func runDCReturn(ckt *circuit.Circuit, ret *dslReturn, opts sim.Options) ([]floa
 	}
 	switch ret.kind {
 	case "vdc":
-		if !ckt.HasNode(ret.node) {
-			return nil, fmt.Errorf("testcfg dsl: node %q missing", ret.node)
-		}
 		return []float64{e.Voltage(x, ret.node)}, nil
 	case "idd":
 		i, err := e.BranchCurrent(x, macros.SupplySourceName)

@@ -185,3 +185,31 @@ func TestDSLConfigWorksInSessionContext(t *testing.T) {
 		t.Error("empty description")
 	}
 }
+
+// TestDSLUnknownReturnNode: a return on a node the macro lacks is an
+// error for every return kind, transient ones included, with the same
+// message; it used to panic inside the transient's probe.
+func TestDSLUnknownReturnNode(t *testing.T) {
+	for _, tc := range []struct {
+		stim, ret string
+		T         []float64
+	}{
+		{"dc(a)", "vdc(Nope)", []float64{20e-6}},
+		{"sine(a, 5u, b)", "thd(Nope)", []float64{20e-6, 10e3}},
+		{"step(a, b, 10n, 10n)", "max(Nope)", []float64{5e-6, 20e-6}},
+		{"step(a, b, 10n, 10n)", "sum(Nope)", []float64{5e-6, 20e-6}},
+	} {
+		params := "param a A 0 40u seed 20u\n"
+		if len(tc.T) == 2 {
+			params += "param b X 0 100k seed 10k\n"
+		}
+		c, err := ParseConfigString("config 9 x\nstimulus " + tc.stim + "\n" + params + "return " + tc.ret + " accuracy 1m\n")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.ret, err)
+		}
+		_, err = c.Run(macros.IVConverter(), tc.T)
+		if want := `testcfg dsl: node "Nope" missing`; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", tc.ret, err, want)
+		}
+	}
+}

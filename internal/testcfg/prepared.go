@@ -36,7 +36,8 @@ type analysis struct {
 
 // outcome is what one simulation hands the measure steps: the engine and
 // solution vector of an operating point, or the observed Vout samples of
-// a transient. Measures only read it.
+// a transient. Both belong to the evaluator and stay valid until its
+// next run; measures only read them.
 type outcome struct {
 	eng *sim.Engine
 	x   []float64
@@ -119,8 +120,9 @@ func (ev *Evaluator) Run(T []float64) ([]float64, error) {
 // RunGroup is Run for every configuration of cfgs, which must share the
 // evaluator's analysis: one cold simulation, each configuration's return
 // values bit-identical to RunGroup on an identically valued circuit.
+// As there, cfgs[0] validates T.
 func (ev *Evaluator) RunGroup(cfgs []*Config, T []float64) ([][]float64, error) {
-	if err := ev.cfg.Check(T); err != nil {
+	if err := cfgs[0].Check(T); err != nil {
 		return nil, err
 	}
 	o, err := ev.cold(T)

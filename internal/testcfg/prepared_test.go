@@ -114,3 +114,34 @@ func TestPreparedValidation(t *testing.T) {
 		t.Error("out-of-box parameter accepted by RunWarm")
 	}
 }
+
+// TestPreparedRunAllocs: after its first run a retained evaluator
+// reuses its engine and, for the transient configurations, its trace,
+// so a cold run allocates only a few small objects.
+func TestPreparedRunAllocs(t *testing.T) {
+	ckt := macros.IVConverter()
+	cfgs := IVConfigs()
+	for _, tc := range []struct {
+		id  int
+		max float64
+	}{{1, 3}, {3, 8}, {4, 8}} {
+		c := ByID(cfgs, tc.id)
+		ev, err := c.Prepare(ckt, sim.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := c.Seeds()
+		if _, err := ev.Run(T); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ev.Run(T); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("config #%d: %.0f allocations per retained run, want at most %.0f", tc.id, allocs, tc.max)
+		}
+		t.Logf("config #%d: %.0f allocations per retained run", tc.id, allocs)
+	}
+}

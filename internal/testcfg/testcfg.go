@@ -386,20 +386,21 @@ func thdConfig() *Config {
 // and a Vout trace over the warm-up and measured periods. A transient
 // analysis keeps no state across calls (operating point, step history
 // and companion states are rebuilt per run), so it needs no cold/warm
-// split: every run is exact.
+// split: every run is exact. The evaluator owns one trace that every
+// run refills, so outcome.v is valid until its next run.
 func sinePrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
 	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
+	var tr sim.Trace
 	run := func(T []float64) (outcome, error) {
 		iindc, freq := T[0], T[1]
 		macros.SetInputWave(ckt, wave.Sine{Offset: iindc, Amplitude: 5e-6, Freq: freq})
 		period := 1 / freq
 		total := thdWarmPeriods + thdMeasurePeriods
 		dt := period / thdStepsPerPeriod
-		tr, err := e.Transient(float64(total)*period, dt, []string{macros.NodeVout})
-		if err != nil {
+		if err := e.TransientInto(&tr, float64(total)*period, dt, []string{macros.NodeVout}); err != nil {
 			return outcome{}, err
 		}
 		return outcome{v: tr.Signal(macros.NodeVout)}, nil
@@ -408,17 +409,17 @@ func sinePrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
 }
 
 // stepPrep is the simulate step shared by configurations #4/#5: the
-// step stimulus and the 100 MHz Vout sample comb.
+// step stimulus and the 100 MHz Vout sample comb, refilling one trace
+// like sinePrep.
 func stepPrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
 	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
+	var tr sim.Trace
 	run := func(T []float64) (outcome, error) {
 		macros.SetInputWave(ckt, wave.Step{Base: T[0], Elev: T[1], Delay: stepDelay, Rise: stepRise})
-		dt := 1 / stepSampleRate
-		tr, err := e.Transient(stepTestTime, dt, []string{macros.NodeVout})
-		if err != nil {
+		if err := e.TransientInto(&tr, stepTestTime, 1/stepSampleRate, []string{macros.NodeVout}); err != nil {
 			return outcome{}, err
 		}
 		return outcome{v: tr.Signal(macros.NodeVout)}, nil
