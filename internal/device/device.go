@@ -100,9 +100,12 @@ type LinearStamper interface {
 
 // Dynamic is implemented by energy-storage devices. The engine allocates
 // NumStates float64 slots per device and threads them through the three
-// phase methods.
+// phase methods. The simulation engine requires every Dynamic to be a
+// SplitDynamic.
 type Dynamic interface {
-	// NumStates returns how many state variables the device needs.
+	// NumStates returns how many state variables the device needs. A
+	// device reporting none stores no energy: the engine makes no
+	// companion stamps or commits for it.
 	NumStates() int
 	// InitState fills state from a converged DC solution x.
 	InitState(x []float64, state []float64)

@@ -40,34 +40,59 @@ func (d *Diode) Clone() Device {
 	return &Diode{base: d.cloneBase(), Model: &m}
 }
 
+// diodeEq holds the constants of one junction's equations: I_S, n·V_T
+// and the point 40·n·V_T above which the exponential continues
+// linearly. Stamp derives them on every call; a StampPlan derives them
+// once.
+type diodeEq struct {
+	is, nvt, vmax float64
+}
+
+// eq returns the diode's equation constants.
+func (d *Diode) eq() diodeEq {
+	nvt := d.Model.N * d.Model.VT
+	return diodeEq{is: d.Model.IS, nvt: nvt, vmax: nvt * 40}
+}
+
 // current returns (id, gd) at junction voltage v with exponent limiting
 // to keep Newton iterations finite.
-func (d *Diode) current(v float64) (id, gd float64) {
-	nvt := d.Model.N * d.Model.VT
+func (q *diodeEq) current(v float64) (id, gd float64) {
 	// Limit the exponent: above vmax the exponential is continued
 	// linearly, which preserves C1 continuity and prevents overflow.
-	vmax := nvt * 40
-	if v > vmax {
+	if v > q.vmax {
 		e := math.Exp(40)
-		id = d.Model.IS * (e*(1+(v-vmax)/nvt) - 1)
-		gd = d.Model.IS * e / nvt
+		id = q.is * (e*(1+(v-q.vmax)/q.nvt) - 1)
+		gd = q.is * e / q.nvt
 		return id, gd
 	}
-	e := math.Exp(v / nvt)
-	id = d.Model.IS * (e - 1)
-	gd = d.Model.IS * e / nvt
+	e := math.Exp(v / q.nvt)
+	id = q.is * (e - 1)
+	gd = q.is * e / q.nvt
 	return id, gd
+}
+
+// companion returns the linearized Norton companion at junction voltage
+// v: the conductance geq = gd + gmin and the residual current
+// ieq = id0 − gd·v0 from anode to cathode.
+func (q *diodeEq) companion(v, gmin float64) (geq, ieq float64) {
+	id, gd := q.current(v)
+	return gd + gmin, id - gd*v
+}
+
+// current evaluates the junction at voltage v (see diodeEq.current).
+func (d *Diode) current(v float64) (id, gd float64) {
+	q := d.eq()
+	return q.current(v)
 }
 
 // Stamp implements Stamper with the linearized Norton companion:
 // i ≈ id0 + gd·(v − v0), stamped as conductance gd plus the residual
-// current id0 − gd·v0 from anode to cathode.
+// current id0 − gd·v0 from anode to cathode. A StampPlan makes the same
+// additions through precomputed offsets.
 func (d *Diode) Stamp(s *mna.System, x []float64, ctx *Context) {
 	a, k := d.idx[0], d.idx[1]
-	v := volt(x, a) - volt(x, k)
-	id, gd := d.current(v)
-	geq := gd + ctx.Gmin
-	ieq := id - gd*v
+	q := d.eq()
+	geq, ieq := q.companion(volt(x, a)-volt(x, k), ctx.Gmin)
 	s.StampConductance(a, k, geq)
 	s.StampCurrent(a, k, ieq)
 }

@@ -82,20 +82,34 @@ func (m *MOSFET) Clone() Device {
 // Beta returns k'·W/L.
 func (m *MOSFET) Beta() float64 { return m.Model.KP * m.W / m.L }
 
+// mosEq holds the constants of one transistor's level-1 equations: β,
+// the threshold V_T in the n-channel convention (positive for both
+// flavours once mirror has mapped a PMOS into that convention) and λ.
+// Stamp derives them on every call; a StampPlan derives them once.
+type mosEq struct {
+	beta, vt, lam float64
+	pmos          bool
+}
+
+// eq returns the transistor's equation constants.
+func (m *MOSFET) eq() mosEq {
+	vt := m.Model.VT0
+	if m.Model.Type == PMOS {
+		vt = -vt // after the sign transform in mirror, thresholds are positive
+	}
+	return mosEq{beta: m.Beta(), vt: vt, lam: m.Model.Lambda, pmos: m.Model.Type == PMOS}
+}
+
 // ids evaluates the drain current and its partial derivatives for an
 // n-channel-convention transistor with vds ≥ 0:
 //
 //	cutoff:  vgs ≤ VT              id = 0
 //	triode:  vds < vgs − VT        id = β((vgs−VT)vds − vds²/2)(1+λvds)
 //	sat:     vds ≥ vgs − VT        id = β/2 (vgs−VT)² (1+λvds)
-func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
-	vt := m.Model.VT0
-	if m.Model.Type == PMOS {
-		vt = -vt // after the sign transform below, thresholds are positive
-	}
-	beta := m.Beta()
-	lam := m.Model.Lambda
-	vov := vgs - vt
+func (q *mosEq) ids(vgs, vds float64) (id, gm, gds float64) {
+	beta := q.beta
+	lam := q.lam
+	vov := vgs - q.vt
 	if vov <= 0 {
 		return 0, 0, 0
 	}
@@ -114,15 +128,11 @@ func (m *MOSFET) ids(vgs, vds float64) (id, gm, gds float64) {
 	return id, gm, gds
 }
 
-// operating evaluates the transistor at the node voltages in x and
-// returns the drain current flowing into the drain terminal together
-// with the linearization (gm, gds) referred to the ORIGINAL terminal
-// order, plus the effective (vgs, vds) after source/drain swapping.
-func (m *MOSFET) operating(x []float64) (id, gm, gds, vgs, vds float64, swapped bool) {
-	vd := volt(x, m.idx[0])
-	vg := volt(x, m.idx[1])
-	vs := volt(x, m.idx[2])
-	if m.Model.Type == PMOS {
+// mirror maps terminal voltages (vd, vg, vs) to the effective (vgs,
+// vds ≥ 0) of an n-channel-convention transistor; swapped reports that
+// the effective drain is the source terminal.
+func (q *mosEq) mirror(vd, vg, vs float64) (vgs, vds float64, swapped bool) {
+	if q.pmos {
 		// Work in the mirrored domain where the PMOS looks like an NMOS.
 		vd, vg, vs = -vd, -vg, -vs
 	}
@@ -132,38 +142,62 @@ func (m *MOSFET) operating(x []float64) (id, gm, gds, vgs, vds float64, swapped 
 		vd, vs = vs, vd
 		swapped = true
 	}
-	vgs = vg - vs
-	vds = vd - vs
-	id, gm, gds = m.ids(vgs, vds)
+	return vg - vs, vd - vs, swapped
+}
+
+// operating evaluates the transistor at terminal voltages (vd, vg, vs)
+// and returns the drain current flowing into the drain terminal together
+// with the linearization (gm, gds) referred to the ORIGINAL terminal
+// order, plus the effective (vgs, vds) after source/drain swapping.
+func (q *mosEq) operating(vd, vg, vs float64) (id, gm, gds, vgs, vds float64, swapped bool) {
+	vgs, vds, swapped = q.mirror(vd, vg, vs)
+	id, gm, gds = q.ids(vgs, vds)
 	return id, gm, gds, vgs, vds, swapped
+}
+
+// companion returns the linearized Newton companion at terminal voltages
+// (vd, vg, vs): the conductance gc = gds + gmin between the effective
+// drain and source, the transconductance gm controlled by (gate,
+// effective source), and the residual current cur that flows from the
+// effective source into the effective drain. swapped reports that the
+// effective drain is the source terminal.
+func (q *mosEq) companion(vd, vg, vs, gmin float64) (gc, gm, cur float64, swapped bool) {
+	vgs, vds, swapped := q.mirror(vd, vg, vs)
+	id, gm, gds := q.ids(vgs, vds)
+	// Residual current in the mirrored domain flows ed -> es:
+	// Ieq = I0 − gm·vgs0 − gds·vds0 with primed (mirrored) voltages.
+	ieq := id - gm*vgs - gds*vds
+	// Under the PMOS mirror the conductance and VCCS stamps are invariant
+	// (double sign flip), but the residual current changes sign.
+	cur = -ieq
+	if q.pmos {
+		cur = ieq
+	}
+	return gds + gmin, gm, cur, swapped
+}
+
+// operating evaluates the transistor at the node voltages in x (see
+// mosEq.operating).
+func (m *MOSFET) operating(x []float64) (id, gm, gds, vgs, vds float64, swapped bool) {
+	q := m.eq()
+	return q.operating(volt(x, m.idx[0]), volt(x, m.idx[1]), volt(x, m.idx[2]))
 }
 
 // Stamp implements Stamper with the standard linearized MOSFET companion:
 // conductance gds between drain and source, transconductance gm
-// controlled by (gate, source), and the residual current source.
+// controlled by (gate, source), and the residual current source. A
+// StampPlan makes the same additions through precomputed offsets.
 func (m *MOSFET) Stamp(s *mna.System, x []float64, ctx *Context) {
 	d, g, src := m.idx[0], m.idx[1], m.idx[2]
-	neg := m.Model.Type == PMOS
-
-	id, gm, gds, vgs, vds, swapped := m.operating(x)
-	// Map back: in the mirrored+swapped domain, "drain" and "source" are:
+	q := m.eq()
+	gc, gm, cur, swapped := q.companion(volt(x, d), volt(x, g), volt(x, src), ctx.Gmin)
 	ed, es := d, src
 	if swapped {
 		ed, es = src, d
 	}
-	// Residual current in the mirrored domain flows ed -> es:
-	// Ieq = I0 − gm·vgs0 − gds·vds0 with primed (mirrored) voltages.
-	ieq := id - gm*vgs - gds*vds
-
-	// Under the PMOS mirror the conductance and VCCS stamps are invariant
-	// (double sign flip), but the residual current changes sign.
-	s.StampConductance(ed, es, gds+ctx.Gmin)
+	s.StampConductance(ed, es, gc)
 	s.StampVCCS(ed, es, g, es, gm)
-	if neg {
-		s.StampCurrent(es, ed, ieq)
-	} else {
-		s.StampCurrent(es, ed, -ieq)
-	}
+	s.StampCurrent(es, ed, cur)
 }
 
 // StampAC implements ACStamper with the small-signal model at the DC
@@ -212,10 +246,7 @@ func (m *MOSFET) DrainCurrent(x []float64) float64 {
 // "sat", for diagnostics and tests.
 func (m *MOSFET) Region(x []float64) string {
 	_, _, _, vgs, vds, _ := m.operating(x)
-	vt := m.Model.VT0
-	if m.Model.Type == PMOS {
-		vt = -vt
-	}
+	vt := m.eq().vt
 	switch {
 	case vgs-vt <= 0:
 		return "off"
@@ -230,11 +261,7 @@ func (m *MOSFET) Region(x []float64) string {
 // saturation.
 func (m *MOSFET) SaturationMargin(x []float64) float64 {
 	_, _, _, vgs, vds, _ := m.operating(x)
-	vt := m.Model.VT0
-	if m.Model.Type == PMOS {
-		vt = -vt
-	}
-	return vds - (vgs - vt)
+	return vds - (vgs - m.eq().vt)
 }
 
 // Gm returns the small-signal transconductance at solution x, used by

@@ -39,12 +39,21 @@ func (m *MOSFET) Cgd() float64 {
 // hasCaps reports whether the transistor stores any charge.
 func (m *MOSFET) hasCaps() bool { return m.Cgs() > 0 || m.Cgd() > 0 }
 
-// NumStates implements Dynamic: [vgs, igs, vgd, igd].
-func (m *MOSFET) NumStates() int { return 4 }
+// NumStates implements Dynamic: [vgs, igs, vgd, igd], or none for a
+// transistor without caps, which then has no dynamics to stamp.
+func (m *MOSFET) NumStates() int {
+	if !m.hasCaps() {
+		return 0
+	}
+	return 4
+}
 
 // InitState implements Dynamic: capacitor voltages from the DC solution,
 // zero currents.
 func (m *MOSFET) InitState(x []float64, state []float64) {
+	if !m.hasCaps() {
+		return
+	}
 	vd := volt(x, m.idx[0])
 	vg := volt(x, m.idx[1])
 	vs := volt(x, m.idx[2])

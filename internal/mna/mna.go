@@ -35,7 +35,7 @@ type System struct {
 	a    []float64 // row-major n×n
 	b    []float64
 	lu   []float64 // factorization workspace
-	perm []int     // row permutation from partial pivoting
+	perm []int     // perm[k] is the physical row of pivot k (luFactor)
 	x    []float64
 	prev []float64 // matrix bits behind the current factorization
 	dinv []float64 // reciprocal pivots of the factorization
@@ -104,6 +104,13 @@ func (s *System) SaveRHS(dst []float64) { copy(dst, s.b) }
 
 // SetRHS overwrites the right-hand side from src (length Dim()).
 func (s *System) SetRHS(src []float64) { copy(s.b, src) }
+
+// Buffers returns the matrix (row-major, Dim()·Dim()) and right-hand-side
+// buffers themselves, for stampers that add to entries by precomputed
+// flat offsets i·Dim()+j instead of through Add. FactorInPlace and
+// FactorSolveInto recycle the matrix buffer, so fetch the slices again
+// after every SetMatrix rather than holding them across solves.
+func (s *System) Buffers() (a, b []float64) { return s.a, s.b }
 
 // At returns matrix entry (i, j). Ground indices (-1) read as 0.
 func (s *System) At(i, j int) float64 {
@@ -273,8 +280,16 @@ func equalBits(a, b []float64) bool {
 
 // luFactor performs in-place Doolittle LU with partial pivoting on the
 // row-major n×n matrix m, recording the pivot rows in perm and the
-// reciprocal pivots in dinv. The inner elimination runs on row slices so
-// the compiler can drop bounds checks.
+// reciprocal pivots in dinv.
+//
+// Rows never move. perm[k] names the physical row that holds pivot k,
+// and pivoting swaps perm entries only. The pivot search scans the
+// candidate rows in perm order, so ties resolve as in a kernel that
+// swaps rows: perm ends up holding the same values, every row receives
+// the same updates in the same order, and row perm[i] of m holds what
+// row i of a row-swapping kernel's result would (DESIGN.md §8). The
+// inner elimination runs on row slices so the compiler can drop bounds
+// checks.
 func luFactor(m []float64, perm []int, dinv []float64, n int) error {
 	for i := range perm {
 		perm[i] = i
@@ -282,9 +297,9 @@ func luFactor(m []float64, perm []int, dinv []float64, n int) error {
 	for k := 0; k < n; k++ {
 		// Pivot search in column k.
 		p := k
-		max := math.Abs(m[k*n+k])
+		max := math.Abs(m[perm[k]*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(m[i*n+k]); v > max {
+			if v := math.Abs(m[perm[i]*n+k]); v > max {
 				max = v
 				p = i
 			}
@@ -292,28 +307,23 @@ func luFactor(m []float64, perm []int, dinv []float64, n int) error {
 		if max == 0 || math.IsNaN(max) {
 			return fmt.Errorf("%w: zero pivot in column %d", ErrSingular, k)
 		}
-		if p != k {
-			rowK := m[k*n : k*n+n]
-			rowP := m[p*n : p*n+n]
-			for j := 0; j < n; j++ {
-				rowK[j], rowP[j] = rowP[j], rowK[j]
-			}
-			perm[k], perm[p] = perm[p], perm[k]
-		}
+		perm[k], perm[p] = perm[p], perm[k]
 		// One division per pivot, multiplied through the column: at the
 		// small dimensions of analog macros the n²/2 scalar divisions are
 		// a sizable slice of the factorization, and a divide is an order
 		// of magnitude slower than a multiply.
-		pivInv := 1 / m[k*n+k]
+		rk := perm[k] * n
+		pivInv := 1 / m[rk+k]
 		dinv[k] = pivInv
-		rowK := m[k*n+k+1 : k*n+n]
-		for i := k + 1; i < n; i++ {
-			l := m[i*n+k] * pivInv
-			m[i*n+k] = l
+		rowK := m[rk+k+1 : rk+n]
+		for _, r := range perm[k+1 : n] {
+			ri := r * n
+			l := m[ri+k] * pivInv
+			m[ri+k] = l
 			if l == 0 {
 				continue
 			}
-			rowI := m[i*n+k+1 : i*n+n][:len(rowK)]
+			rowI := m[ri+k+1 : ri+n][:len(rowK)]
 			for j := range rowK {
 				rowI[j] -= l * rowK[j]
 			}
@@ -323,7 +333,8 @@ func luFactor(m []float64, perm []int, dinv []float64, n int) error {
 }
 
 // luSolve solves LU·x = P·b: the permutation is applied while copying b
-// into x, so no scratch buffer is needed. x and b must not alias.
+// into x, so no scratch buffer is needed, and row i of the factors is
+// read from physical row perm[i]. x and b must not alias.
 func luSolve(m []float64, perm []int, dinv []float64, n int, b, x []float64) {
 	// Apply permutation during the copy.
 	for i := 0; i < n; i++ {
@@ -331,7 +342,8 @@ func luSolve(m []float64, perm []int, dinv []float64, n int, b, x []float64) {
 	}
 	// Forward substitution (unit lower triangle).
 	for i := 1; i < n; i++ {
-		row := m[i*n : i*n+i]
+		r := perm[i] * n
+		row := m[r : r+i]
 		sum := x[i]
 		for j, l := range row {
 			sum -= l * x[j]
@@ -340,7 +352,8 @@ func luSolve(m []float64, perm []int, dinv []float64, n int, b, x []float64) {
 	}
 	// Back substitution, dividing by reciprocal multiplication.
 	for i := n - 1; i >= 0; i-- {
-		row := m[i*n+i : i*n+n]
+		r := perm[i] * n
+		row := m[r+i : r+n]
 		sum := x[i]
 		for j := 1; j < len(row); j++ {
 			sum -= row[j] * x[i+j]

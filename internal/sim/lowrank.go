@@ -141,11 +141,11 @@ func (e *Engine) LowRankEnabled() bool { return e.lr != nil }
 func (e *Engine) WoodburyServes() bool { return e.lr != nil && e.matrixInvariant() }
 
 // matrixInvariant reports whether the engine's OP matrix is independent
-// of the solution estimate: no nonlinear stampers and no legacy dynamics.
-// Only then is one retained factorization valid for every Newton "
-// iteration" — the solve collapses to a single linear solve.
+// of the solution estimate: no nonlinear stampers. Only then is one
+// retained factorization valid for every Newton "iteration" — the solve
+// collapses to a single linear solve.
 func (e *Engine) matrixInvariant() bool {
-	return len(e.nonlinears) == 0 && len(e.legacyDyn) == 0
+	return len(e.nonlinears) == 0
 }
 
 // woodburyOP serves an operating point through the rank-k update against

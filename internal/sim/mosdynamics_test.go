@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/macros"
 	"repro/internal/wave"
 )
 
@@ -109,5 +113,40 @@ func TestCaplessMOSFETTransientUnchanged(t *testing.T) {
 	d := tr.Signal("d")
 	if math.Abs(d[1]-d[len(d)-1]) > 1e-9 {
 		t.Errorf("static transistor should settle instantly: %g vs %g", d[1], d[len(d)-1])
+	}
+}
+
+// TestGateCapMOSFETKeepsState: a transistor with gate caps keeps its 4
+// state words, and its transient is bit-identical to the trace recorded
+// before capless transistors left the engine's dynamics and the Newton
+// stamps moved to precompiled plans. The IV-converter's transistors
+// carry no caps, so its state is only its two capacitors' 4 words.
+func TestGateCapMOSFETKeepsState(t *testing.T) {
+	c, _ := csAmpWithCaps()
+	c.Device("Vg").(*device.VSource).W = wave.Step{Base: 1.0, Elev: 0.05}
+	e := newEngine(t, c)
+	if e.stateLen != 4 || len(e.dynamics) != 1 {
+		t.Errorf("gate-cap amp: %d state words in %d dynamic devices, want 4 in 1", e.stateLen, len(e.dynamics))
+	}
+	tr, err := e.Transient(40e-9, 1e-9, []string{"d", "g"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, s := range [][]float64{tr.Times, tr.Signal("d"), tr.Signal("g")} {
+		for _, v := range s {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	// Recorded with the engine that stamped every MOSFET through Stamp
+	// and kept 4 state words for each.
+	const want = "c48a5e277332b7d8f59daeb02b13a877a1021b27495f715b6ccc605a431c83bb"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("gate-cap transient digest %s, want %s", got, want)
+	}
+
+	iv := newEngine(t, macros.IVConverter())
+	if iv.stateLen != 4 || len(iv.dynamics) != 2 {
+		t.Errorf("IV-converter: %d state words in %d dynamic devices, want 4 in 2", iv.stateLen, len(iv.dynamics))
 	}
 }

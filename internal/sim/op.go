@@ -99,28 +99,31 @@ const numBaseSlots = 2
 // The engine caches snapshots of the linear part of the MNA matrix. The
 // snapshots assume the linear-snapshot invariant: linear device
 // parameters (R, C, L, gains, branch wiring) must not change between
-// solves on one engine. Structural edits or value scaling require a new
-// engine; swapping source waveforms (as SweepDC does) only affects the
-// right-hand side and is safe.
+// solves on one engine. The stamp plans extend it to the nonlinear
+// devices: a MOSFET's model and geometry and a diode's model must not
+// change either. Structural edits or value scaling require a new
+// engine (Retarget is the one sanctioned resistor change); swapping
+// source waveforms (as SweepDC does) only affects the right-hand side
+// and is safe.
 type Engine struct {
 	ckt    *circuit.Circuit
 	layout *circuit.Layout
 	sys    *mna.System
 	opts   Options
 
-	stampers []device.Stamper
-	dynamics []device.Dynamic
-	stateOff []int // parallel to dynamics
-	stateLen int
-
 	// Split-stamp classification. A device may appear in several lists
-	// (the MOSFET is a nonlinear static stamper and a split dynamic).
+	// (a MOSFET with gate caps is a nonlinear static stamper and a
+	// dynamic).
 	linears    []device.LinearStamper // x-independent static stamps
 	nonlinears []device.Stamper       // re-stamped every iteration
-	splitDyn   []device.SplitDynamic  // companion G into the base
-	splitOff   []int                  // state offsets parallel to splitDyn
-	legacyDyn  []device.Dynamic       // conservatively per-iteration
-	legacyOff  []int
+	// plans holds the precompiled stamps of nonlinears, one slab in the
+	// same order; a BJT has no plan and stamps itself.
+	plans []device.StampPlan
+	// dynamics lists the devices with state; their companion G goes into
+	// the base.
+	dynamics []device.SplitDynamic
+	stateOff []int // parallel to dynamics
+	stateLen int
 
 	// Linear matrix snapshots, keyed and evicted round-robin.
 	baseA    [numBaseSlots][]float64
@@ -169,28 +172,29 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 	}
 	for _, d := range ckt.Devices() {
 		if st, ok := d.(device.Stamper); ok {
-			e.stampers = append(e.stampers, st)
 			if ls, ok := d.(device.LinearStamper); ok {
 				e.linears = append(e.linears, ls)
 			} else {
 				e.nonlinears = append(e.nonlinears, st)
 			}
 		}
-		if dy, ok := d.(device.Dynamic); ok {
-			e.dynamics = append(e.dynamics, dy)
-			e.stateOff = append(e.stateOff, e.stateLen)
-			if sd, ok := d.(device.SplitDynamic); ok {
-				e.splitDyn = append(e.splitDyn, sd)
-				e.splitOff = append(e.splitOff, e.stateLen)
-			} else {
-				// A Dynamic without the split refinement might compute
-				// state- or x-dependent conductances, so it is re-stamped
-				// every iteration like a nonlinear device.
-				e.legacyDyn = append(e.legacyDyn, dy)
-				e.legacyOff = append(e.legacyOff, e.stateLen)
-			}
-			e.stateLen += dy.NumStates()
+		if _, ok := d.(device.Dynamic); !ok {
+			continue
 		}
+		dy, ok := d.(device.SplitDynamic)
+		if !ok {
+			return nil, fmt.Errorf("sim: dynamic device %s does not implement device.SplitDynamic", d.Name())
+		}
+		if dy.NumStates() == 0 {
+			continue // nothing to stamp or commit
+		}
+		e.dynamics = append(e.dynamics, dy)
+		e.stateOff = append(e.stateOff, e.stateLen)
+		e.stateLen += dy.NumStates()
+	}
+	e.plans = make([]device.StampPlan, len(e.nonlinears))
+	for i, st := range e.nonlinears {
+		e.plans[i], _ = device.NewStampPlan(st, n)
 	}
 	return e, nil
 }
@@ -227,7 +231,7 @@ func (e *Engine) linearBase(ctx *device.Context) []float64 {
 		ls.StampLinearMatrix(e.sys, ctx)
 	}
 	if ctx.Mode == device.Transient {
-		for _, dy := range e.splitDyn {
+		for _, dy := range e.dynamics {
 			dy.StampCompanionMatrix(e.sys, ctx)
 		}
 	}
@@ -235,7 +239,7 @@ func (e *Engine) linearBase(ctx *device.Context) []float64 {
 	e.baseKeys[slot] = key
 	e.baseOK[slot] = true
 	e.stats.BaseBuilds++
-	e.stats.Stamps += uint64(len(e.linears) + len(e.splitDyn))
+	e.stats.Stamps += uint64(len(e.linears) + len(e.dynamics))
 	return e.baseA[slot]
 }
 
@@ -249,13 +253,13 @@ func (e *Engine) buildRHSBase(state []float64, ctx *device.Context) {
 		ls.StampLinearRHS(e.sys, ctx)
 	}
 	if ctx.Mode == device.Transient {
-		for i, dy := range e.splitDyn {
-			off := e.splitOff[i]
+		for i, dy := range e.dynamics {
+			off := e.stateOff[i]
 			dy.StampCompanionRHS(e.sys, state[off:off+dy.NumStates()], ctx)
 		}
 	}
 	e.sys.SaveRHS(e.baseB)
-	e.stats.Stamps += uint64(len(e.linears) + len(e.splitDyn))
+	e.stats.Stamps += uint64(len(e.linears) + len(e.dynamics))
 }
 
 // solveNewton iterates the system to convergence, updating x in place.
@@ -265,39 +269,43 @@ func (e *Engine) buildRHSBase(state []float64, ctx *device.Context) {
 // ground (the gmin-stepping shunt).
 //
 // Per iteration the linear base is restored by copy and only the
-// nonlinear devices re-stamp; the factor/solve runs in place. Nothing on
-// this path allocates once the engine is warm.
+// nonlinear devices re-stamp, through their plans where they have one;
+// the factor/solve runs in place. Nothing on this path allocates once
+// the engine is warm.
 func (e *Engine) solveNewton(x, state []float64, ctx *device.Context, gshunt float64) error {
 	err := e.newtonLoop(x, state, ctx, gshunt)
 	e.stats.Solves++
-	e.flushStats()
 	return err
 }
 
 func (e *Engine) newtonLoop(x, state []float64, ctx *device.Context, gshunt float64) error {
-	n := e.layout.Dim()
-	a := e.linearBase(ctx)
+	n, nodes := e.layout.Dim(), e.layout.NumNodes
+	maxStep, absTol, relTol := e.opts.MaxStep, e.opts.AbsTol, e.opts.RelTol
+	xs, x := e.xs[:n], x[:n]
+	base := e.linearBase(ctx)
 	e.buildRHSBase(state, ctx)
-	perIter := uint64(len(e.nonlinears) + len(e.legacyDyn))
+	perIter := uint64(len(e.nonlinears))
 
 	for it := 0; it < e.opts.MaxIter; it++ {
 		e.stats.NewtonIterations++
 		e.stats.Stamps += perIter
-		e.sys.SetMatrix(a)
+		e.sys.SetMatrix(base)
 		e.sys.SetRHS(e.baseB)
-		for _, st := range e.nonlinears {
-			st.Stamp(e.sys, x, ctx)
-		}
-		for i, dy := range e.legacyDyn {
-			off := e.legacyOff[i]
-			dy.StampDynamic(e.sys, x, state[off:off+dy.NumStates()], ctx)
+		// FactorSolveInto recycles the matrix buffer, so fetch it anew.
+		a, b := e.sys.Buffers()
+		for i, st := range e.nonlinears {
+			if p := &e.plans[i]; p.Valid() {
+				p.Stamp(a, b, x, ctx.Gmin)
+			} else {
+				st.Stamp(e.sys, x, ctx)
+			}
 		}
 		if gshunt > 0 {
-			for i := 0; i < e.layout.NumNodes; i++ {
+			for i := 0; i < nodes; i++ {
 				e.sys.Add(i, i, gshunt)
 			}
 		}
-		reused, err := e.sys.FactorSolveInto(e.xs)
+		reused, err := e.sys.FactorSolveInto(xs)
 		if err != nil {
 			return err
 		}
@@ -307,10 +315,10 @@ func (e *Engine) newtonLoop(x, state []float64, ctx *device.Context, gshunt floa
 			e.stats.Factorizations++
 		}
 		conv := true
-		for i := 0; i < n; i++ {
-			dx := e.xs[i] - x[i]
-			limit := e.opts.MaxStep
-			if i >= e.layout.NumNodes {
+		for i, xi := range xs {
+			dx := xi - x[i]
+			limit := maxStep
+			if i >= nodes {
 				// Branch currents are not voltage-limited: clamping them
 				// only slows convergence.
 				limit = 0
@@ -324,9 +332,9 @@ func (e *Engine) newtonLoop(x, state []float64, ctx *device.Context, gshunt floa
 				// solution. Landing bitwise on the fixed point lets the
 				// same-pattern factorization reuse in FactorSolveInto fire
 				// on steady-state re-solves.
-				x[i] = e.xs[i]
+				x[i] = xi
 			}
-			if math.Abs(dx) > e.opts.AbsTol+e.opts.RelTol*math.Abs(x[i]) {
+			if math.Abs(dx) > absTol+relTol*math.Abs(x[i]) {
 				conv = false
 			}
 			if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
@@ -391,11 +399,9 @@ func (e *Engine) OperatingPointInto(x []float64) error {
 		}
 		if rerr := e.solveOperatingPoint(x); rerr == nil {
 			e.stats.Recoveries++
-			e.flushStats()
 			return nil
 		}
 	}
-	e.flushStats()
 	return err
 }
 

@@ -1,12 +1,18 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
+	"repro/internal/fault"
+	"repro/internal/macros"
+	"repro/internal/wave"
 )
 
 // TestProbe: engines on several goroutines sharing a probe sum into it
@@ -95,5 +101,151 @@ func TestProbe(t *testing.T) {
 	nilProbe.Add(Counters{Solves: 1})
 	if nilProbe.Counters() != (Counters{}) || nilProbe.Histograms() != nil {
 		t.Error("nil probe observed something")
+	}
+}
+
+// exitCase runs analyses that leave by one of the exit paths a probe
+// must account for. run builds its engines with opts and calls after
+// once each analysis has returned.
+type exitCase struct {
+	name string
+	run  func(opts Options, after func(*Engine)) error
+}
+
+func exitCases() []exitCase {
+	return []exitCase{
+		{"transient fails after 8 subdivisions", func(opts Options, after func(*Engine)) error {
+			// A 100-V ideal step: clamped to 0.5 V per Newton iteration,
+			// the input node needs 200 iterations to follow it, more
+			// than MaxIter allows however finely the step is divided.
+			c := circuit.New("hard-step")
+			c.Add(device.NewVSource("V1", "in", "0", wave.Step{Elev: 100, Delay: 2.5e-9}))
+			c.Add(device.NewResistor("R1", "in", "out", 1e3))
+			c.Add(device.NewCapacitor("C1", "out", "0", 1e-12))
+			e, err := New(c, opts)
+			if err != nil {
+				return err
+			}
+			_, err = e.Transient(5e-9, 1e-9, []string{"out"})
+			after(e)
+			if !errors.Is(err, ErrNoConvergence) || !strings.Contains(err.Error(), "t=3e-09") {
+				return fmt.Errorf("transient error %v, want ErrNoConvergence at the third step", err)
+			}
+			return nil
+		}},
+		{"operating point exhausts the recovery ladder", func(opts Options, after func(*Engine)) error {
+			opts.MaxIter = 1
+			opts.Recovery = []Relaxation{{TolScale: 1, MaxIter: 2}, {TolScale: 100, MaxIter: 3}}
+			e, err := New(macros.IVConverter(), opts)
+			if err != nil {
+				return err
+			}
+			_, err = e.OperatingPoint()
+			after(e)
+			if !errors.Is(err, ErrNoConvergence) || e.Stats().RecoveryAttempts != 2 {
+				return fmt.Errorf("error %v after %d rungs, want ErrNoConvergence after 2", err, e.Stats().RecoveryAttempts)
+			}
+			return nil
+		}},
+		{"Woodbury fallback", func(opts Options, after func(*Engine)) error {
+			// As in TestWoodburyFallbackGuard: n9 hangs off the ladder
+			// only through the fault, so a near-open fault trips the
+			// update guard.
+			c := lrLadder()
+			c.Add(device.NewCapacitor("Chang", "n9", "0", 1e-12))
+			f := fault.NewBridge("n2", "n9", 10e3)
+			fc, err := f.Insert(c)
+			if err != nil {
+				return err
+			}
+			e, err := New(fc, opts)
+			if err != nil {
+				return err
+			}
+			rows, cols, vals, err := f.Perturbation(fc)
+			if err != nil {
+				return err
+			}
+			if err := e.EnableLowRank(Perturb{Device: f.ImpactDevice(), RowA: rows, RowB: cols, Vals: vals}); err != nil {
+				return err
+			}
+			for _, r := range []float64{10e3, 1e12} {
+				if err := e.Retarget(f.ImpactDevice(), r); err != nil {
+					return err
+				}
+				_, err := e.OperatingPoint()
+				after(e)
+				if err != nil {
+					return err
+				}
+			}
+			if st := e.Stats(); st.WoodburySolves == 0 || st.WoodburyFallbacks == 0 {
+				return fmt.Errorf("%d Woodbury solves, %d fallbacks, want both", st.WoodburySolves, st.WoodburyFallbacks)
+			}
+			return nil
+		}},
+		{"transient", func(opts Options, after func(*Engine)) error {
+			e, err := New(macros.IVConverter(), opts)
+			if err != nil {
+				return err
+			}
+			_, err = e.Transient(20e-9, 1e-9, []string{macros.NodeVout})
+			after(e)
+			return err
+		}},
+	}
+}
+
+// TestProbeExactOnEveryExit: an engine flushes its counters into its
+// probe once per analysis, and after every analysis — failed partway,
+// failed after a recovery ladder, served by a Woodbury fallback, or
+// successful — the probe holds exactly the engine's counters.
+func TestProbeExactOnEveryExit(t *testing.T) {
+	for _, c := range exitCases() {
+		t.Run(c.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Probe = NewProbe(nil)
+			analyses := 0
+			err := c.run(opts, func(e *Engine) {
+				analyses++
+				if got, want := opts.Probe.Counters(), e.Stats(); got != want {
+					t.Errorf("after analysis %d: probe counters %+v, engine %+v", analyses, got, want)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestProbeExactOnEveryExitShared runs every exit case on 4 goroutines
+// whose engines share one probe: the probe ends up with exactly the sum
+// of the engines' counters.
+func TestProbeExactOnEveryExitShared(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Probe = NewProbe(nil)
+	var mu sync.Mutex
+	var want Counters
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range exitCases() {
+				var last *Engine
+				if err := c.run(opts, func(e *Engine) { last = e }); err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					return
+				}
+				mu.Lock()
+				want.Add(last.Stats())
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := opts.Probe.Counters(); got != want {
+		t.Errorf("probe counters %+v, want the engines' sum %+v", got, want)
 	}
 }

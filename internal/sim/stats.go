@@ -10,7 +10,7 @@ import (
 
 // Counters tallies the work the simulation kernel performs. Engines
 // accumulate them locally (an Engine is single-goroutine by contract)
-// and flush deltas into their Probe at solve boundaries, so the hot
+// and flush deltas into their Probe at analysis boundaries, so the hot
 // loop pays no synchronization.
 type Counters struct {
 	// Stamps counts device stamp calls (linear assemblies plus
@@ -116,7 +116,7 @@ func NewProbe(hook TraceHook) *Probe {
 }
 
 // Add credits d to the probe's counters. Engines add their counter
-// deltas at solve boundaries; layers above the kernel add work they
+// deltas at analysis boundaries; layers above the kernel add work they
 // avoided on its behalf (the retained fault evaluators in internal/core
 // credit FaultyFactorAvoided).
 func (p *Probe) Add(d Counters) {
@@ -172,7 +172,8 @@ func (p *Probe) record(kind string, d time.Duration, delta Counters) {
 }
 
 // flushStats adds the engine's counter delta since the previous flush
-// to its probe. Called at solve boundaries, not per iteration.
+// to its probe. Called once per analysis (traceEnd) and by the AC and
+// low-rank entry points that run outside one, never per solve.
 func (e *Engine) flushStats() {
 	p := e.opts.Probe
 	if p == nil {

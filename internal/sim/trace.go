@@ -23,9 +23,13 @@ func (e *Engine) traceStart() (time.Time, Counters) {
 	return time.Now(), e.stats
 }
 
-// traceEnd reports the completed analysis to the engine's probe.
+// traceEnd flushes the engine's counters into its probe and reports the
+// completed analysis. Every analysis defers it, so the probe's counters
+// are exact at every analysis boundary, whichever way the analysis
+// returned.
 func (e *Engine) traceEnd(analysis string, t0 time.Time, pre Counters) {
 	if p := e.opts.Probe; p != nil {
+		e.flushStats()
 		p.record(analysis, time.Since(t0), e.stats.Sub(pre))
 	}
 }
