@@ -90,22 +90,18 @@ type RunOptions struct {
 	Retries int `json:"retries,omitempty"`
 	// AttemptTimeoutMS bounds each optimizer attempt under Retries.
 	AttemptTimeoutMS int64 `json:"attempt_timeout_ms,omitempty"`
-	// DisableLowRank turns off the retained-evaluator / low-rank solve
-	// fast path of the impact search. Results are bit-identical either
-	// way; the switch exists for benchmarking and debugging.
+	// DisableLowRank turns off the retained fault evaluators of the
+	// impact search, so every faulty evaluation rebuilds its circuit. The
+	// switch exists for benchmarking and debugging.
 	DisableLowRank bool `json:"disable_lowrank,omitempty"`
 	// StallTimeoutMS arms the stall watchdog: a fault×config optimizer
 	// task that produces no evaluations for this long is cancelled and
 	// quarantined with reason "stalled" (0: watchdog off).
 	StallTimeoutMS int64 `json:"stall_timeout_ms,omitempty"`
-	// BreakerFallbacks arms the low-rank circuit breaker: when more than
-	// this many Woodbury fallbacks land inside the breaker window, the
-	// session pins itself to the slow path for a cool-down (0: breaker
-	// off). Results are bit-identical either way — the two paths are
-	// numerically interchangeable; the breaker only stops wasted work.
-	BreakerFallbacks int `json:"breaker_fallbacks,omitempty"`
-	// BreakerWindowMS and BreakerCooldownMS tune the breaker's rate
-	// window and slow-path pin duration (0: defaults of 1s / 5s).
+	// BreakerFallbacks, BreakerWindowMS and BreakerCooldownMS tuned a
+	// circuit breaker the solver no longer has. They are accepted for v1
+	// compatibility (and still rejected when negative) and have no effect.
+	BreakerFallbacks  int   `json:"breaker_fallbacks,omitempty"`
 	BreakerWindowMS   int64 `json:"breaker_window_ms,omitempty"`
 	BreakerCooldownMS int64 `json:"breaker_cooldown_ms,omitempty"`
 }
@@ -408,11 +404,14 @@ type SolverMetrics struct {
 	BaseHits         uint64 `json:"base_hits"`
 	RecoveryAttempts uint64 `json:"recovery_attempts,omitempty"`
 	Recoveries       uint64 `json:"recoveries,omitempty"`
-	// Solver-economy counters of the low-rank fault fast path. Zero (and
-	// omitted) on runs that never routed a fault through it, which keeps
-	// pre-fast-path consumers byte-compatible.
-	WoodburySolves      uint64 `json:"woodbury_solves,omitempty"`
-	WoodburyFallbacks   uint64 `json:"woodbury_fallbacks,omitempty"`
+	// WoodburySolves and WoodburyFallbacks counted a low-rank solve path
+	// the solver no longer has. They stay in v1 for compatibility and
+	// are never set.
+	WoodburySolves    uint64 `json:"woodbury_solves,omitempty"`
+	WoodburyFallbacks uint64 `json:"woodbury_fallbacks,omitempty"`
+	// FaultyFactorAvoided counts faulty evaluations served by a retained
+	// evaluator. Zero (and omitted) on runs that never routed a fault
+	// through one, which keeps pre-fast-path consumers byte-compatible.
 	FaultyFactorAvoided uint64 `json:"faulty_factor_avoided,omitempty"`
 }
 
@@ -425,9 +424,8 @@ type MetricsSnapshot struct {
 	Cache      CacheMetrics   `json:"cache"`
 	Solver     SolverMetrics  `json:"solver"`
 	TaskPanics int64          `json:"task_panics,omitempty"`
-	// BreakerTrips counts low-rank circuit-breaker trips; BreakerOpen is
-	// true while the session is pinned to the slow path. Absent on runs
-	// without the breaker armed; decoders tolerate absence.
+	// BreakerTrips and BreakerOpen reported a circuit breaker the solver
+	// no longer has. They stay in v1 for compatibility and are never set.
 	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
 	BreakerOpen  bool   `json:"breaker_open,omitempty"`
 	// Durations holds latency distributions from below the engine's

@@ -117,7 +117,7 @@ func main() {
 	flag.IntVar(&o.traceSample, "trace-sample", 1, "journal one in every n spans (1: all; events are never sampled)")
 	flag.StringVar(&o.listenAddr, "listen", "", "serve live /metrics, /progress and pprof on this address (e.g. :6060)")
 	flag.IntVar(&o.retries, "retries", 0, "optimizer attempt budget per fault×config pair; > 1 arms the retry policy and recovery ladder (0: fail fast like the plain flow)")
-	flag.BoolVar(&o.noLowRank, "no-lowrank", false, "disable the Sherman–Morrison faulty-solve fast path (A/B benchmarking; results are bit-identical either way)")
+	flag.BoolVar(&o.noLowRank, "no-lowrank", false, "turn off the retained fault evaluators: every faulty evaluation rebuilds its circuit (A/B benchmarking)")
 	flag.DurationVar(&o.attemptTimeout, "attempt-timeout", 0, "per-optimizer-attempt deadline under -retries (0: none)")
 	flag.StringVar(&o.checkpointPath, "checkpoint", "", "crash-safe checkpoint file for per-fault generation results")
 	flag.BoolVar(&o.resume, "resume", false, "skip faults already completed in the -checkpoint file")

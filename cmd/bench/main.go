@@ -61,8 +61,6 @@ type solverWork struct {
 	FactorReuses        float64 `json:"factor_reuses"`
 	NewtonIterations    float64 `json:"newton_iterations"`
 	BaseHits            float64 `json:"base_hits"`
-	WoodburySolves      float64 `json:"woodbury_solves,omitempty"`
-	WoodburyFallbacks   float64 `json:"woodbury_fallbacks,omitempty"`
 	FaultyFactorAvoided float64 `json:"faulty_factor_avoided,omitempty"`
 }
 
@@ -150,8 +148,6 @@ func main() {
 				FactorReuses:        float64(t.FactorReuses) / n,
 				NewtonIterations:    float64(t.NewtonIterations) / n,
 				BaseHits:            float64(t.BaseHits) / n,
-				WoodburySolves:      float64(t.WoodburySolves) / n,
-				WoodburyFallbacks:   float64(t.WoodburyFallbacks) / n,
 				FaultyFactorAvoided: float64(t.FaultyFactorAvoided) / n,
 			},
 		}
@@ -388,8 +384,8 @@ func sessionOps(b *testing.B, scfg core.Config, op func(s *core.Session) error) 
 	return work
 }
 
-// impactSearchBody is the impact-search hot loop the low-rank path
-// targets: full test generation — per-config optimization plus the
+// impactSearchBody is the impact-search hot loop the retained fault
+// evaluators target: full test generation — per-config optimization plus the
 // relax/intensify impact ladder — for one bridging fault on the
 // IV-converter, on a fresh session per op. The disable variant forces
 // every faulty evaluation through the throwaway insert+compile+factor

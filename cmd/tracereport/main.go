@@ -86,17 +86,12 @@ func main() {
 	rep.render(os.Stdout, *top)
 }
 
-// spanAgg accumulates the closed spans of one name. The solver-economy
-// counters (attached as span_end attributes to sim.* spans) are summed
-// so the spans table can show how much low-rank work each phase served.
+// spanAgg accumulates the closed spans of one name.
 type spanAgg struct {
-	name      string
-	count     int
-	total     time.Duration
-	max       time.Duration
-	woodbury  int64 // woodbury_solves
-	fallbacks int64 // woodbury_fallbacks
-	avoided   int64 // faulty_factor_avoided
+	name  string
+	count int
+	total time.Duration
+	max   time.Duration
 }
 
 // slowSpan is one closed span with its identifying attributes, ranked
@@ -169,9 +164,6 @@ func aggregate(r io.Reader) (*reportData, error) {
 			if dur > agg.max {
 				agg.max = dur
 			}
-			agg.woodbury += i64(ev.Attrs["woodbury_solves"])
-			agg.fallbacks += i64(ev.Attrs["woodbury_fallbacks"])
-			agg.avoided += i64(ev.Attrs["faulty_factor_avoided"])
 			if ev.Name == "optimize" {
 				attrs := open[ev.Span]
 				if attrs == nil {
@@ -240,19 +232,11 @@ func (d *reportData) render(w io.Writer, top int) {
 			aggs = append(aggs, a)
 		}
 		sort.Slice(aggs, func(i, j int) bool { return aggs[i].total > aggs[j].total })
-		t := report.NewTable("span", "count", "total", "avg", "max", "woodbury (s/f)", "factor avoided")
+		t := report.NewTable("span", "count", "total", "avg", "max")
 		for _, a := range aggs {
-			econ := "-"
-			if a.woodbury > 0 || a.fallbacks > 0 {
-				econ = fmt.Sprintf("%d/%d", a.woodbury, a.fallbacks)
-			}
-			avoided := "-"
-			if a.avoided > 0 {
-				avoided = fmt.Sprintf("%d", a.avoided)
-			}
 			t.AddRow(a.name, a.count, a.total.Round(time.Microsecond),
 				(a.total / time.Duration(a.count)).Round(time.Microsecond),
-				a.max.Round(time.Microsecond), econ, avoided)
+				a.max.Round(time.Microsecond))
 		}
 		_, _ = t.WriteTo(w)
 	}
@@ -409,15 +393,6 @@ func str(v any) string {
 		return s
 	}
 	return fmt.Sprintf("%v", v)
-}
-
-// i64 reads a journal counter attribute (float64 after JSON decoding);
-// missing or non-numeric attributes count as zero.
-func i64(v any) int64 {
-	if f, ok := v.(float64); ok {
-		return int64(f)
-	}
-	return 0
 }
 
 // num renders a journal number (float64 after JSON decoding) as an

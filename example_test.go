@@ -46,35 +46,24 @@ func ExampleSystem_Sensitivity() {
 }
 
 // ExampleNewIVConverterSystem_options shows the functional-options
-// constructor patterns: granular options compose left to right, and a
-// legacy SessionConfig bundle migrates by becoming the first option
-// (repro.WithConfig) with granular options layered after it.
+// constructor: options compose left to right over the experiment-grade
+// defaults, so a later option overrides an earlier one.
 func ExampleNewIVConverterSystem_options() {
-	// The idiomatic shape: independent options, any order.
 	sys, err := repro.NewIVConverterSystem(
 		repro.WithFastBoxes(), // seed-calibrated boxes (fast; grid is the default)
 		repro.WithWorkers(2),  // bound evaluation parallelism
+		repro.WithWorkers(4),  // a later option overrides an earlier one
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("faults:", len(sys.Faults()))
-
-	// Migrating a stored legacy bundle: WithConfig replaces the whole
-	// configuration, so it must come first; granular options then
-	// override individual fields.
-	cfg := repro.FastSetup()
-	sys2, err := repro.NewIVConverterSystem(
-		repro.WithConfig(cfg),
-		repro.WithWorkers(4),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("configs:", len(sys2.Configs()))
+	fmt.Println("configs:", len(sys.Configs()))
+	fmt.Println("workers:", sys.Session().Config().Workers)
 	// Output:
 	// faults: 55
 	// configs: 5
+	// workers: 4
 }
 
 // ExampleParseTestConfigString builds a runnable test configuration from

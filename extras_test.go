@@ -6,7 +6,7 @@ import (
 )
 
 func TestSimpleMacroSystem(t *testing.T) {
-	sys, err := NewSystem(NewSimpleIVConverter(), IVConfigs(), FastSetup())
+	sys, err := NewSystem(NewSimpleIVConverter(), IVConfigs(), WithFastBoxes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
@@ -15,24 +14,21 @@ import (
 // world on every call: insert the fault into the golden netlist, clone,
 // compile, allocate an engine, solve. The impact loop calls it dozens of
 // times per fault varying only the fault resistance, and the optimizer
-// hundreds of times varying only the stimulus parameters — both are
-// rank-1 perturbations of a fixed structure.
+// hundreds of times varying only the stimulus parameters — both leave
+// the circuit's structure fixed.
 //
 // A faultEval amortizes the structure: the fault is inserted and the
 // configuration's evaluator prepared once per (fault, configuration)
-// pair, the fault's branch indices are resolved once (fault.LowRankFault
-// .Perturbation) and registered with the engine, and each evaluation
-// only retargets the fault resistor. On linear macros the solve then
-// goes through the Sherman–Morrison–Woodbury update against a retained
-// factorization (sim.EnableLowRank); on nonlinear macros the retained
-// engine restamps from its invalidated snapshots, which the kernel
-// guarantees bit-identical to a fresh engine.
+// pair, and each evaluation only retargets the fault resistor
+// (sim.Engine.Retarget). The retained engine then restamps from its
+// invalidated snapshots and refactors, which the kernel guarantees
+// bit-identical to a fresh engine, on linear and nonlinear macros alike.
 //
 // Eligibility is conservative: the session must not disable the path,
-// the fault must expose its low-rank structure, and the configuration
-// must support retained evaluation. Any construction failure silently
-// yields the throwaway path — the fast path is an optimization, never a
-// semantic fork.
+// the fault must name its impact resistor (fault.Retargetable), and the
+// configuration must support retained evaluation. Any construction
+// failure silently yields the throwaway path — the fast path is an
+// optimization, never a semantic fork.
 
 // ladderMargin is the decision margin of the warm-start impact ladder: a
 // warm (approximate) sensitivity within this distance of a decision
@@ -60,11 +56,6 @@ type faultEval struct {
 	ev    *testcfg.Evaluator
 	dev   string // fault resistor name, resolved once per fault
 	evals int
-	// memo routes cold runs through the analysis memo. It is off where
-	// the engine serves solves by the Woodbury update: those depend on
-	// the impact the retained base was factored at, so a memo entry
-	// could differ from the run it replaces.
-	memo bool
 }
 
 // newFaultEval builds the retained evaluator for (f, ci), or nil when
@@ -74,14 +65,7 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if s.cfg.DisableFastPath {
 		return nil
 	}
-	// Circuit breaker: when guard-trip fallbacks are storming, pin the
-	// session to the throwaway path for the cool-down. Both paths are
-	// bit-identical (the transparency property above), so the gate can
-	// flip between evaluator constructions without changing results.
-	if s.brk != nil && !s.brk.allow(time.Now(), s.sessionFallbacks()) {
-		return nil
-	}
-	lrf, ok := f.(fault.LowRankFault)
+	rf, ok := f.(fault.Retargetable)
 	if !ok {
 		return nil
 	}
@@ -89,7 +73,7 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if !c.CanPrepare() {
 		return nil
 	}
-	fc, err := lrf.Insert(s.golden)
+	fc, err := rf.Insert(s.golden)
 	if err != nil {
 		return nil
 	}
@@ -97,23 +81,15 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if err != nil {
 		return nil
 	}
-	dev := lrf.ImpactDevice()
-	rows, cols, vals, err := lrf.Perturbation(ev.Engine().Circuit())
-	if err != nil {
-		return nil
-	}
-	if err := ev.Engine().EnableLowRank(sim.Perturb{Device: dev, RowA: rows, RowB: cols, Vals: vals}); err != nil {
-		return nil
-	}
-	return &faultEval{s: s, f: f, fid: f.ID(), ci: ci, ev: ev, dev: dev, memo: !ev.Engine().WoodburyServes()}
+	return &faultEval{s: s, f: f, fid: f.ID(), ci: ci, ev: ev, dev: rf.ImpactDevice()}
 }
 
 // eval runs one faulty evaluation at the given impact on the retained
 // engine and folds it into S_f with exactly Session.Sensitivity's
 // arithmetic. warm selects the warm-start recipe; cold runs go through
-// the analysis memo where eligible. runErr distinguishes "the faulty
-// circuit did not converge" (reported via the sentinel by exact callers)
-// from infrastructure errors, a memo CrossCheck mismatch included.
+// the analysis memo. runErr distinguishes "the faulty circuit did not
+// converge" (reported via the sentinel by exact callers) from
+// infrastructure errors, a memo CrossCheck mismatch included.
 func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, runErr error, err error) {
 	s := fe.s
 	nom, err := s.Nominal(fe.ci, T)
@@ -133,12 +109,11 @@ func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, r
 		fe.evals++
 	}
 	var rf []float64
-	switch {
-	case warm:
+	if warm {
 		retained()
 		s.faultyRuns.Add(1)
 		rf, runErr = fe.ev.RunWarm(T)
-	case fe.memo:
+	} else {
 		var served bool
 		rf, served, runErr = s.analyze(faultID(fe.f, fe.fid, impact), fe.ci, T,
 			func(cfgs []*testcfg.Config) ([][]float64, error) {
@@ -149,10 +124,6 @@ func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, r
 			return 0, nil, runErr
 		}
 		s.countFaulty(served)
-	default:
-		retained()
-		s.faultyRuns.Add(1)
-		rf, runErr = fe.ev.Run(T)
 	}
 	if runErr != nil {
 		return 0, runErr, nil
@@ -163,18 +134,9 @@ func (fe *faultEval) eval(impact float64, T []float64, warm bool) (sf float64, r
 // sensitivity is the exact fast-path evaluation: bit-identical to
 // Session.Sensitivity(ci, f.WithImpact(impact), T), including the
 // DetectedSentinel semantics for non-convergent faulty circuits. With
-// Config.CrossCheck set it also runs the throwaway path and errors on
-// disagreement beyond 1e-9.
+// Config.CrossCheck set it also runs the throwaway path and fails the
+// run on any bit difference.
 func (fe *faultEval) sensitivity(impact float64, T []float64) (float64, error) {
-	// Breaker pulse: guard-trip fallbacks accrue during the evaluation
-	// loop, long after the evaluator was constructed, so the gate in
-	// newFaultEval alone could never observe a storm. Re-checking per
-	// evaluation lets the breaker trip mid-candidate and route the rest
-	// of the loop through the throwaway path — invisible in results,
-	// since the two paths are bit-identical.
-	if s := fe.s; s.brk != nil && !s.brk.allow(time.Now(), s.sessionFallbacks()) {
-		return s.Sensitivity(fe.ci, fe.f.WithImpact(impact), T)
-	}
 	sf, runErr, err := fe.eval(impact, T, false)
 	if err != nil {
 		return 0, err
@@ -190,9 +152,9 @@ func (fe *faultEval) sensitivity(impact float64, T []float64) (float64, error) {
 			return 0, fmt.Errorf("core: cross-check of %s under config #%d: %w",
 				fe.f.ID(), fe.s.configs[fe.ci].ID, err)
 		}
-		if d := math.Abs(sf - slow); d > 1e-9*math.Max(1, math.Abs(slow)) {
-			return 0, fmt.Errorf("core: fast path disagrees for %s under config #%d at impact %g: fast %g, slow %g (diff %g)",
-				fe.f.ID(), fe.s.configs[fe.ci].ID, impact, sf, slow, d)
+		if math.Float64bits(sf) != math.Float64bits(slow) {
+			return 0, fe.s.latch(fmt.Errorf("core: fast path disagrees for %s under config #%d at impact %g: fast %v, slow %v",
+				fe.f.ID(), fe.s.configs[fe.ci].ID, impact, sf, slow))
 		}
 	}
 	return sf, nil
@@ -207,10 +169,6 @@ func (fe *faultEval) sensitivity(impact float64, T []float64) (float64, error) {
 func (fe *faultEval) sensitivityWarm(impact float64, T []float64) (float64, bool, error) {
 	if !fe.ev.HasWarm() || fe.s.cfg.CrossCheck {
 		sf, err := fe.sensitivity(impact, T)
-		return sf, true, err
-	}
-	if s := fe.s; s.brk != nil && !s.brk.allow(time.Now(), s.sessionFallbacks()) {
-		sf, err := s.Sensitivity(fe.ci, fe.f.WithImpact(impact), T)
 		return sf, true, err
 	}
 	sf, runErr, err := fe.eval(impact, T, true)

@@ -3,13 +3,16 @@ package core
 import (
 	"testing"
 
+	"repro/internal/circuit"
+	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/macros"
 	"repro/internal/testcfg"
+	"repro/internal/wave"
 )
 
 // fastFaultMix is a dictionary slice covering every fast-path
-// eligibility class: bridges and pinholes implement fault.LowRankFault
+// eligibility class: bridges and pinholes implement fault.Retargetable
 // (retained evaluators), opens do not (throwaway path), and the weak
 // bridge drives the impact ladder through many weaken steps.
 func fastFaultMix() []fault.Fault {
@@ -35,18 +38,69 @@ func fastSession(t *testing.T, disable bool) *Session {
 	return s
 }
 
+// linearMacro is a resistive macro with the standard IV interface
+// (Iin current source, Vdd supply, Vout node): no nonlinear devices, so
+// every Newton solve is a single linear solve.
+func linearMacro() *circuit.Circuit {
+	c := circuit.New("linear-iv")
+	c.Add(device.NewDCVSource(macros.SupplySourceName, macros.NodeVdd, "0", macros.SupplyVoltage))
+	c.Add(device.NewISource(macros.InputSourceName, macros.NodeIin, "0", wave.DC(0)))
+	c.Add(device.NewResistor("R1", macros.NodeIin, macros.NodeVout, 10e3))
+	c.Add(device.NewResistor("R2", macros.NodeVout, "0", 10e3))
+	c.Add(device.NewResistor("R3", macros.NodeVdd, macros.NodeVout, 20e3))
+	c.Add(device.NewResistor("R4", macros.NodeIin, "0", 50e3))
+	return c
+}
+
+// linearFaults bridges the linear macro's output to its input and to
+// the supply.
+func linearFaults() []fault.Fault {
+	return []fault.Fault{
+		fault.NewBridge(macros.NodeIin, macros.NodeVout, 5e3),
+		fault.NewBridge(macros.NodeVdd, macros.NodeVout, 20e3),
+	}
+}
+
+func linearSession(t *testing.T, disable bool) *Session {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.BoxMode = BoxSeed
+	cfg.Workers = 4
+	cfg.DisableFastPath = disable
+	s, err := NewSession(linearMacro(), testcfg.IVConfigs()[:2], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestFastPathBitIdentical is the end-to-end identity property: with the
 // retained-evaluator fast path forced on vs off, generation must produce
 // bit-identical outputs — winning configuration, parameters, critical
 // impact, dictionary-impact sensitivity, verdicts, and the impact-ladder
 // trajectory (impact values and detect counts; the recorded per-step
-// sensitivities may be warm values and are exempt). Run under -race in
-// CI, with parallel workers on both sessions.
+// sensitivities may be warm values and are exempt). It runs on the
+// IV-converter and on the linear macro. Run under -race in CI, with
+// parallel workers on both sessions.
 func TestFastPathBitIdentical(t *testing.T) {
-	fastS := fastSession(t, false)
-	slowS := fastSession(t, true)
-	faults := fastFaultMix()
+	for _, tc := range []struct {
+		name    string
+		session func(*testing.T, bool) *Session
+		faults  []fault.Fault
+	}{
+		{"iv-converter", fastSession, fastFaultMix()},
+		{"linear", linearSession, linearFaults()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkFastPathBitIdentical(t, tc.session(t, false), tc.session(t, true), tc.faults)
+		})
+	}
+}
 
+// checkFastPathBitIdentical generates faults on both sessions and
+// compares everything generation and coverage decide.
+func checkFastPathBitIdentical(t *testing.T, fastS, slowS *Session, faults []fault.Fault) {
+	t.Helper()
 	fastSols, err := fastS.GenerateAll(faults)
 	if err != nil {
 		t.Fatal(err)
@@ -126,23 +180,38 @@ func TestFastPathBitIdentical(t *testing.T) {
 // TestCrossCheckClean: with the debug cross-check enabled, every
 // fast-path evaluation is replayed through the throwaway path; a run
 // completing without error is the machine-checked statement that the
-// two never disagree beyond 1e-9.
+// two never differ in a single bit. It covers the DC configurations on
+// the IV-converter and on the linear macro, and a transient
+// configuration (#4) on the IV-converter.
 func TestCrossCheckClean(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BoxMode = BoxSeed
-	cfg.Workers = 4
-	cfg.CrossCheck = true
-	s, err := NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)
-	sol, err := s.Generate(f)
-	if err != nil {
-		t.Fatalf("cross-checked generation failed: %v", err)
-	}
-	if sol.Verdict() != VerdictDetected {
-		t.Errorf("feedback bridge verdict = %s, want detected", sol.Verdict())
+	iv := testcfg.IVConfigs()
+	for _, tc := range []struct {
+		name    string
+		golden  *circuit.Circuit
+		configs []*testcfg.Config
+		f       fault.Fault
+	}{
+		{"iv-converter", macros.IVConverter(), iv[:2], fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)},
+		{"linear", linearMacro(), iv[:2], fault.NewBridge(macros.NodeVdd, macros.NodeVout, 20e3)},
+		{"iv-converter transient", macros.IVConverter(), iv[3:4], fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.BoxMode = BoxSeed
+			cfg.Workers = 4
+			cfg.CrossCheck = true
+			s, err := NewSession(tc.golden, tc.configs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := s.Generate(tc.f)
+			if err != nil {
+				t.Fatalf("cross-checked generation failed: %v", err)
+			}
+			if sol.Verdict() != VerdictDetected {
+				t.Errorf("%s verdict = %s, want detected", tc.f.ID(), sol.Verdict())
+			}
+		})
 	}
 }
 

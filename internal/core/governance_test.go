@@ -2,18 +2,11 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
-	"repro/internal/device"
 	"repro/internal/failpoint"
-	"repro/internal/fault"
-	"repro/internal/macros"
 	"repro/internal/obs"
-	"repro/internal/testcfg"
-	"repro/internal/wave"
 )
 
 // TestStallWatchdogQuarantines arms the core.opt.eval failpoint with a
@@ -99,175 +92,5 @@ func TestWatchdogIdleWhenProgressing(t *testing.T) {
 		if v := sol.Verdict(); v != VerdictDetected {
 			t.Errorf("fault %d verdict = %s, want %s", i, v, VerdictDetected)
 		}
-	}
-}
-
-// TestBreakerStateMachine drives the breaker's window/trip/cool-down
-// transitions with synthetic clock and counter values.
-func TestBreakerStateMachine(t *testing.T) {
-	col := &obs.Collector{}
-	tr := obs.New(col)
-	s := &Session{
-		cfg: Config{BreakerFallbacks: 5, BreakerWindow: time.Second, BreakerCooldown: 2 * time.Second},
-		tr:  tr,
-	}
-	b := newBreaker(s)
-	if b == nil {
-		t.Fatal("breaker not armed")
-	}
-	t0 := time.Now()
-	at := func(d time.Duration) time.Time { return t0.Add(d) }
-
-	if !b.allow(at(0), 0) {
-		t.Fatal("fresh breaker denied the fast path")
-	}
-	if !b.allow(at(100*time.Millisecond), 4) {
-		t.Fatal("4 fallbacks under a threshold of 5 tripped")
-	}
-	if b.allow(at(200*time.Millisecond), 5) {
-		t.Fatal("threshold reached but breaker did not trip")
-	}
-	st := b.stats()
-	if st.Trips != 1 || !st.Open {
-		t.Fatalf("stats after trip = %+v, want 1 trip, open", st)
-	}
-	// Cooling down: denied regardless of counter movement.
-	if b.allow(at(1*time.Second), 5) {
-		t.Fatal("open breaker admitted the fast path mid-cooldown")
-	}
-	// Cool-down expired: re-admitted with a fresh window.
-	if !b.allow(at(2500*time.Millisecond), 7) {
-		t.Fatal("breaker did not reset after the cool-down")
-	}
-	if st := b.stats(); st.Open {
-		t.Fatal("breaker still open after reset")
-	}
-	// New window bases at 7: +4 is fine, +5 trips again.
-	if !b.allow(at(2600*time.Millisecond), 11) {
-		t.Fatal("4 fallbacks in the fresh window tripped")
-	}
-	if b.allow(at(2700*time.Millisecond), 12) {
-		t.Fatal("5 fallbacks in the fresh window did not trip")
-	}
-	if st := b.stats(); st.Trips != 2 {
-		t.Fatalf("Trips = %d, want 2", st.Trips)
-	}
-	// A quiet stretch longer than the window resets the base instead of
-	// accumulating stale counts (checked on a fresh breaker).
-	b2 := newBreaker(s)
-	if !b2.allow(at(0), 100) {
-		t.Fatal("fresh breaker denied")
-	}
-	if !b2.allow(at(5*time.Second), 104) {
-		t.Fatal("expired window still accumulated old fallbacks")
-	}
-
-	trips, resets := 0, 0
-	for _, ev := range col.Events() {
-		switch ev.Name {
-		case "breaker_trip":
-			trips++
-		case "breaker_reset":
-			resets++
-		}
-	}
-	if trips != 2 || resets != 1 {
-		t.Fatalf("journal: %d trips, %d resets, want 2/1", trips, resets)
-	}
-}
-
-// linearMacro is a resistive macro with the standard IV interface
-// (Iin current source, Vdd supply, Vout node): no nonlinear devices, so
-// the retained fast path serves operating points through the Woodbury
-// rank-k update — the only configuration in which guard-trip fallbacks
-// (and hence the circuit breaker) can occur.
-func linearMacro() *circuit.Circuit {
-	c := circuit.New("linear-iv")
-	c.Add(device.NewDCVSource(macros.SupplySourceName, macros.NodeVdd, "0", macros.SupplyVoltage))
-	c.Add(device.NewISource(macros.InputSourceName, macros.NodeIin, "0", wave.DC(0)))
-	c.Add(device.NewResistor("R1", macros.NodeIin, macros.NodeVout, 10e3))
-	c.Add(device.NewResistor("R2", macros.NodeVout, "0", 10e3))
-	c.Add(device.NewResistor("R3", macros.NodeVdd, macros.NodeVout, 20e3))
-	c.Add(device.NewResistor("R4", macros.NodeIin, "0", 50e3))
-	return c
-}
-
-func linearSession(t *testing.T, mod func(*Config)) *Session {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.BoxMode = BoxSeed
-	cfg.Workers = 4
-	if mod != nil {
-		mod(&cfg)
-	}
-	s, err := NewSession(linearMacro(), testcfg.IVConfigs()[:2], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestBreakerPinsSlowPath is the integration cut: on a linear macro
-// (where the fast path really runs Woodbury solves) with the
-// mna.lowrank.guard failpoint storming guard trips, an armed breaker
-// must trip and pin the session to the throwaway path — and the
-// generation outcomes must match an uninjected run, because the fallback
-// path computes the same operating points.
-func TestBreakerPinsSlowPath(t *testing.T) {
-	faults := []fault.Fault{
-		fault.NewBridge(macros.NodeIin, macros.NodeVout, 5e3),
-		fault.NewBridge(macros.NodeVdd, macros.NodeVout, 5e3),
-	}
-	baseline := linearSession(t, nil)
-	want, err := baseline.GenerateAll(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := baseline.Metrics(); m.Solver.WoodburySolves == 0 {
-		t.Fatalf("baseline spent no Woodbury solves — the linear macro no longer exercises the fast path")
-	}
-
-	t.Cleanup(failpoint.Reset)
-	if err := failpoint.Apply("mna.lowrank.guard=error(injected guard trip)"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tr := obs.New(obs.NewJournal(&buf))
-	s := linearSession(t, func(c *Config) {
-		c.BreakerFallbacks = 3
-		c.BreakerWindow = time.Minute // whole run inside one window
-		c.BreakerCooldown = time.Minute
-		c.Tracer = tr
-	})
-	got, err := s.GenerateAll(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish(nil)
-
-	for i := range faults {
-		w, g := want[i], got[i]
-		if w.ConfigIdx != g.ConfigIdx || w.Verdict() != g.Verdict() {
-			t.Errorf("fault %d diverged under the breaker: got config %d %s, want config %d %s",
-				i, g.ConfigIdx, g.Verdict(), w.ConfigIdx, w.Verdict())
-		}
-		// Woodbury and full-factor agree to solver tolerance, not bit for
-		// bit; the decisions above must match exactly, the numbers tightly.
-		if d := math.Abs(w.Sensitivity - g.Sensitivity); d > 1e-6*math.Max(1, math.Abs(w.Sensitivity)) {
-			t.Errorf("fault %d sensitivity diverged: %v vs %v", i, g.Sensitivity, w.Sensitivity)
-		}
-	}
-	m := s.Metrics()
-	if m.Solver.WoodburyFallbacks == 0 {
-		t.Fatal("guard-trip failpoint produced no fallbacks")
-	}
-	if m.Breaker.Trips < 1 {
-		t.Fatalf("Breaker.Trips = %d, want >= 1 under a guard-trip storm", m.Breaker.Trips)
-	}
-	if !m.Breaker.Open {
-		t.Error("breaker closed again despite a one-minute cool-down")
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"breaker_trip"`)) {
-		t.Error("journal has no breaker_trip event")
 	}
 }

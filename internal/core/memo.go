@@ -22,9 +22,7 @@ import (
 // computed, and with it the result bytes and the cache_hit/cache_miss
 // journal events. Its misses do not ask the memo, because which exact T
 // first fills a quantized key depends on the order faults are generated
-// in. The memo stores no errors, never serves warm-start runs, and is
-// bypassed where a retained engine solves by the Woodbury update (such a
-// result depends on the impact the retained base was factored at).
+// in. The memo stores no errors and never serves warm-start runs.
 
 // memoEntries bounds the memo, in analyses across all shards. An entry
 // holds a key of a few tens of bytes and one short return vector per

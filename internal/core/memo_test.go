@@ -286,28 +286,21 @@ func TestMemoCrossCheck(t *testing.T) {
 	}
 }
 
-// TestMemoBypassesWoodbury: where the retained engine serves solves by
-// the Woodbury update (a linear macro), a result depends on the impact
-// the retained base was factored at, so the fast path must neither read
-// nor fill the memo; on the nonlinear macro the same repeat is a hit.
-func TestMemoBypassesWoodbury(t *testing.T) {
+// TestMemoServesLinearMacro: a repeated exact evaluation on a retained
+// evaluator is a memo hit, on the linear macro as on the IV-converter.
+func TestMemoServesLinearMacro(t *testing.T) {
 	f := fault.NewBridge(macros.NodeIin, macros.NodeVout, 5e3)
 	T := []float64{30e-6} // off the seed point the box build simulated
 	for _, tc := range []struct {
-		name         string
-		s            *Session
-		memo         bool
-		runs, served int64
+		name string
+		s    *Session
 	}{
-		{"linear", linearSession(t, nil), false, 2, 0},
-		{"iv-converter", dcSession(t), true, 1, 1},
+		{"linear", linearSession(t, false)},
+		{"iv-converter", dcSession(t)},
 	} {
 		fe := tc.s.newFaultEval(f, 0)
 		if fe == nil {
 			t.Fatalf("%s: no retained evaluator", tc.name)
-		}
-		if fe.memo != tc.memo {
-			t.Errorf("%s: memo eligibility %v, want %v", tc.name, fe.memo, tc.memo)
 		}
 		before := tc.s.Stats()
 		for i := 0; i < 2; i++ {
@@ -316,9 +309,9 @@ func TestMemoBypassesWoodbury(t *testing.T) {
 			}
 		}
 		after := tc.s.Stats()
-		if runs, served := after.FaultyRuns-before.FaultyRuns, after.MemoHits-before.MemoHits; runs != tc.runs || served != tc.served {
-			t.Errorf("%s: a repeated exact evaluation ran %d faulty simulations and %d memo hits, want %d and %d",
-				tc.name, runs, served, tc.runs, tc.served)
+		if runs, served := after.FaultyRuns-before.FaultyRuns, after.MemoHits-before.MemoHits; runs != 1 || served != 1 {
+			t.Errorf("%s: a repeated exact evaluation ran %d faulty simulations and %d memo hits, want 1 and 1",
+				tc.name, runs, served)
 		}
 	}
 }

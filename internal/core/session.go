@@ -105,34 +105,22 @@ type Config struct {
 	// Resume makes GenerateAllContext skip faults already completed in
 	// the checkpoint file, after verifying its version and fingerprint.
 	Resume bool
-	// DisableFastPath turns off the retained-evaluator / low-rank solve
-	// fast path (fastpath.go), forcing every sensitivity evaluation
-	// through the throwaway insert+rebuild path. Results are bit-identical
-	// either way; the switch exists for benchmarking the speedup and for
-	// the identity property tests.
+	// DisableFastPath turns off the retained fault evaluators
+	// (fastpath.go), forcing every sensitivity evaluation through the
+	// throwaway insert+rebuild path. The switch exists for benchmarking
+	// the speedup and for the identity property tests.
 	DisableFastPath bool
 	// CrossCheck runs every fast-path sensitivity evaluation through the
-	// throwaway path as well and fails the run when the two disagree
-	// beyond 1e-9, and recomputes every analysis the memo serves on a
-	// freshly built circuit, failing the run on any bit difference — the
-	// debug mode backing the fast path's and the memo's transparency
-	// claims. Expensive; off by default.
+	// throwaway path as well, and recomputes every analysis the memo
+	// serves on a freshly built circuit, failing the run on any bit
+	// difference — the debug mode backing the fast path's and the memo's
+	// transparency claims. Expensive; off by default.
 	CrossCheck bool
 	// StallTimeout arms the per-attempt stall watchdog: a fault×config
 	// optimization that produces no objective evaluations for this long
 	// is canceled and quarantined with reason "stalled". 0 (the default)
 	// disables the watchdog.
 	StallTimeout time.Duration
-	// BreakerFallbacks arms the low-rank circuit breaker: when the
-	// session's woodbury_fallbacks counter grows by at least this many
-	// within BreakerWindow, the session is pinned to the slow path for
-	// BreakerCooldown. 0 (the default) disables the breaker.
-	BreakerFallbacks int
-	// BreakerWindow is the breaker's rate window (default 1s).
-	BreakerWindow time.Duration
-	// BreakerCooldown is how long a tripped breaker holds the session on
-	// the slow path (default 5s).
-	BreakerCooldown time.Duration
 }
 
 // DefaultConfig returns the settings used by the experiments.
@@ -188,8 +176,6 @@ type Session struct {
 	// runs: the retry policy's recovery ladder, and a probe of its own
 	// that counts, times and traces exactly those simulations.
 	simOpts sim.Options
-	// brk is the low-rank circuit breaker (nil when disarmed).
-	brk *breaker
 }
 
 // Stats summarizes the simulation effort a session has spent — the
@@ -242,14 +228,11 @@ func (s *Session) Stats() Stats {
 // per-phase wall-clock timings (box build, per-config optimization,
 // impact loops, fault simulation, tps sweeps) and nominal-cache
 // effectiveness, plus the solver counters and per-analysis histograms
-// of the session's own simulations and its circuit breaker's state.
+// of the session's own simulations.
 func (s *Session) Metrics() engine.Metrics {
 	m := s.eng.Metrics()
 	m.Solver = s.simOpts.Probe.Counters()
 	m.Durations = s.simOpts.Probe.Histograms()
-	if s.brk != nil {
-		m.Breaker = s.brk.stats()
-	}
 	return m
 }
 
@@ -318,14 +301,10 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 				obs.I64("factor_reuses", int64(delta.FactorReuses)),
 				obs.I64("newton_iters", int64(delta.NewtonIterations)),
 				obs.I64("solves", int64(delta.Solves)),
-				obs.I64("base_hits", int64(delta.BaseHits)),
-				obs.I64("woodbury_solves", int64(delta.WoodburySolves)),
-				obs.I64("woodbury_fallbacks", int64(delta.WoodburyFallbacks)),
-				obs.I64("faulty_factor_avoided", int64(delta.FaultyFactorAvoided)))
+				obs.I64("base_hits", int64(delta.BaseHits)))
 		}
 	}
 	s.simOpts.Probe = sim.NewProbe(hook)
-	s.brk = newBreaker(s)
 	boxes, err := s.buildBoxes(ctx)
 	if err != nil {
 		return nil, err

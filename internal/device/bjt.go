@@ -151,9 +151,9 @@ func (q *BJT) Stamp(s *mna.System, x []float64, ctx *Context) {
 	}
 }
 
-// StampAC implements ACStamper with the small-signal hybrid-π parameters
-// at the operating point.
-func (q *BJT) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
+// StampACBase implements ACSplitStamper with the small-signal hybrid-π
+// parameters at the operating point.
+func (q *BJT) StampACBase(s *mna.ComplexSystem, xop []float64) {
 	idx := q.Terminals()
 	c, b, e := idx[0], idx[1], idx[2]
 	sign := 1.0
@@ -173,6 +173,10 @@ func (q *BJT) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
 	s.Add(e, e, complex(gmf+gpif, 0))
 	s.Add(e, c, complex(gmr+gpir, 0))
 }
+
+// StampACReactive implements ACSplitStamper: the model has no junction
+// capacitances.
+func (q *BJT) StampACReactive(*mna.ComplexSystem, []float64, float64) {}
 
 // CollectorCurrent returns the current into the collector terminal.
 func (q *BJT) CollectorCurrent(x []float64) float64 {

@@ -20,11 +20,18 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
+// stampAC adds both halves of d's small-signal stamp at omega, as an AC
+// sweep point does.
+func stampAC(d ACSplitStamper, s *mna.ComplexSystem, xop []float64, omega float64) {
+	d.StampACBase(s, xop)
+	d.StampACReactive(s, xop, omega)
+}
+
 func TestResistorACStamp(t *testing.T) {
 	r := NewResistor("R1", "a", "b", 2e3)
 	resolve(r, 0, 1)
 	s := mna.NewComplexSystem(2)
-	r.StampAC(s, nil, 1e3)
+	stampAC(r, s, nil, 1e3)
 	if got := real(s.At(0, 0)); math.Abs(got-5e-4) > 1e-12 {
 		t.Errorf("AC conductance = %g, want 5e-4", got)
 	}
@@ -35,7 +42,7 @@ func TestCapacitorACStamp(t *testing.T) {
 	resolve(c, 0, 1)
 	s := mna.NewComplexSystem(2)
 	omega := 2 * math.Pi * 1e6
-	c.StampAC(s, nil, omega)
+	stampAC(c, s, nil, omega)
 	if got := imag(s.At(0, 0)); math.Abs(got-omega*1e-9) > 1e-12 {
 		t.Errorf("AC susceptance = %g, want %g", got, omega*1e-9)
 	}
@@ -47,7 +54,7 @@ func TestInductorACStamp(t *testing.T) {
 	l.SetBranchBase(2)
 	s := mna.NewComplexSystem(3)
 	omega := 2 * math.Pi * 1e3
-	l.StampAC(s, nil, omega)
+	stampAC(l, s, nil, omega)
 	if got := imag(s.At(2, 2)); math.Abs(got+omega*1e-3) > 1e-12 {
 		t.Errorf("branch reactance = %g, want %g", got, -omega*1e-3)
 	}
@@ -93,7 +100,7 @@ func TestDiodeACStamp(t *testing.T) {
 	resolve(d, 0, -1)
 	s := mna.NewComplexSystem(1)
 	xop := []float64{0.6}
-	d.StampAC(s, xop, 1e3)
+	stampAC(d, s, xop, 1e3)
 	_, gd := d.current(0.6)
 	if got := real(s.At(0, 0)); math.Abs(got-gd) > 1e-12*gd {
 		t.Errorf("AC conductance = %g, want %g", got, gd)
@@ -105,7 +112,7 @@ func TestBJTACStampGm(t *testing.T) {
 	resolve(q, 0, 1, 2)
 	s := mna.NewComplexSystem(3)
 	xop := []float64{5, 0.65, 0}
-	q.StampAC(s, xop, 1e3)
+	stampAC(q, s, xop, 1e3)
 	gm := q.CollectorCurrent(xop) / q.Model.VT
 	if got := real(s.At(0, 1)); math.Abs(got-gm) > 0.02*gm {
 		t.Errorf("AC gm entry = %g, want ≈ %g", got, gm)
@@ -207,7 +214,7 @@ func TestVCVSAC(t *testing.T) {
 	resolve(e, 0, 1, 2, 3)
 	e.SetBranchBase(4)
 	s := mna.NewComplexSystem(5)
-	e.StampAC(s, nil, 1e3)
+	stampAC(e, s, nil, 1e3)
 	if got := real(s.At(4, 2)); got != -10 {
 		t.Errorf("VCVS AC gain entry = %g, want -10", got)
 	}
@@ -217,7 +224,7 @@ func TestVCCSAC(t *testing.T) {
 	g := NewVCCS("G1", "p", "m", "cp", "cm", 1e-3)
 	resolve(g, 0, 1, 2, 3)
 	s := mna.NewComplexSystem(4)
-	g.StampAC(s, nil, 1e3)
+	stampAC(g, s, nil, 1e3)
 	if got := real(s.At(0, 2)); math.Abs(got-1e-3) > 1e-15 {
 		t.Errorf("VCCS AC gm entry = %g, want 1e-3", got)
 	}

@@ -149,24 +149,16 @@ type Brancher interface {
 	BranchBase() int
 }
 
-// ACStamper is implemented by devices that participate in small-signal AC
-// analysis. xop is the DC operating point the device linearizes around
-// and omega the angular frequency.
-type ACStamper interface {
-	StampAC(s *mna.ComplexSystem, xop []float64, omega float64)
-}
-
-// ACSplitStamper refines ACStamper by separating the frequency-
-// independent small-signal stamps (conductances, transconductances,
-// source patterns — assembled once per sweep and restored by copy) from
-// the reactive jω terms added at each frequency point. Because the base
-// contributes only real parts and the reactive stamps only imaginary
-// parts of any shared entry, the split is bit-identical to StampAC.
-//
-// StampAC must remain equivalent to StampACBase followed by
-// StampACReactive.
+// ACSplitStamper is implemented by devices that participate in
+// small-signal AC analysis. xop is the DC operating point the device
+// linearizes around and omega the angular frequency. The stamp comes in
+// two halves: the frequency-independent small-signal stamps
+// (conductances, transconductances, source patterns — assembled once per
+// sweep and restored by copy) and the reactive jω terms added at each
+// frequency point. The base contributes only real parts and the reactive
+// stamps only imaginary parts of any shared entry, so a sweep point
+// equals a full restamp bit for bit.
 type ACSplitStamper interface {
-	ACStamper
 	// StampACBase adds the frequency-independent small-signal stamps at
 	// the operating point xop.
 	StampACBase(s *mna.ComplexSystem, xop []float64)

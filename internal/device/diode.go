@@ -97,13 +97,8 @@ func (d *Diode) Stamp(s *mna.System, x []float64, ctx *Context) {
 	s.StampCurrent(a, k, ieq)
 }
 
-// StampAC implements ACStamper with the small-signal conductance at the
-// operating point.
-func (d *Diode) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
-	d.StampACBase(s, xop)
-}
-
-// StampACBase implements ACSplitStamper.
+// StampACBase implements ACSplitStamper with the small-signal
+// conductance at the operating point.
 func (d *Diode) StampACBase(s *mna.ComplexSystem, xop []float64) {
 	v := volt(xop, d.idx[0]) - volt(xop, d.idx[1])
 	_, gd := d.current(v)

@@ -200,18 +200,11 @@ func (m *MOSFET) Stamp(s *mna.System, x []float64, ctx *Context) {
 	s.StampCurrent(es, ed, cur)
 }
 
-// StampAC implements ACStamper with the small-signal model at the DC
-// operating point: gds in parallel with a gm-VCCS, plus the gate
-// capacitances when the model carries them.
-func (m *MOSFET) StampAC(s *mna.ComplexSystem, xop []float64, omega float64) {
-	m.StampACBase(s, xop)
-	m.StampACReactive(s, xop, omega)
-}
-
 // StampACBase implements ACSplitStamper: the resistive small-signal
-// model. This is the expensive part of the AC stamp (it re-evaluates the
-// transistor at the operating point), and the part the cached sweep base
-// assembles exactly once.
+// model at the DC operating point, gds in parallel with a gm-VCCS. This
+// is the expensive part of the AC stamp (it re-evaluates the transistor
+// at the operating point), and the part the cached sweep base assembles
+// exactly once.
 func (m *MOSFET) StampACBase(s *mna.ComplexSystem, xop []float64) {
 	d, g, src := m.idx[0], m.idx[1], m.idx[2]
 	_, gm, gds, _, _, swapped := m.operating(xop)
@@ -223,7 +216,8 @@ func (m *MOSFET) StampACBase(s *mna.ComplexSystem, xop []float64) {
 	s.StampVCCS(ed, es, g, es, complex(gm, 0))
 }
 
-// StampACReactive implements ACSplitStamper: the gate capacitances.
+// StampACReactive implements ACSplitStamper: the gate capacitances, when
+// the model carries them.
 func (m *MOSFET) StampACReactive(s *mna.ComplexSystem, _ []float64, omega float64) {
 	m.stampACCaps(s, omega)
 }

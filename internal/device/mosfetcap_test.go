@@ -78,7 +78,7 @@ func TestGateCapACAdmittance(t *testing.T) {
 	s := mna.NewComplexSystem(3)
 	omega := 2 * math.Pi * 1e6
 	// Off transistor: gm = gds = 0, only the caps stamp.
-	m.StampAC(s, []float64{0, 0, 0}, omega)
+	stampAC(m, s, []float64{0, 0, 0}, omega)
 	wantGS := omega * m.Cgs()
 	if got := imag(s.At(1, 1)); math.Abs(got-(omega*m.Cgs()+omega*m.Cgd())) > 1e-12 {
 		t.Errorf("gate self-admittance = %g, want %g", got, omega*(m.Cgs()+m.Cgd()))

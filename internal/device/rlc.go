@@ -51,11 +51,6 @@ func (r *Resistor) StampLinearMatrix(s *mna.System, _ *Context) {
 // StampLinearRHS implements LinearStamper: a resistor has no sources.
 func (r *Resistor) StampLinearRHS(*mna.System, *Context) {}
 
-// StampAC implements ACStamper.
-func (r *Resistor) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
-	r.StampACBase(s, xop)
-}
-
 // StampACBase implements ACSplitStamper.
 func (r *Resistor) StampACBase(s *mna.ComplexSystem, _ []float64) {
 	s.StampAdmittance(r.idx[0], r.idx[1], complex(1/r.R, 0))
@@ -146,15 +141,10 @@ func (c *Capacitor) Commit(x []float64, state []float64, ctx *Context) {
 	state[1] = geq*v - ieq
 }
 
-// StampAC implements ACStamper with admittance jωC.
-func (c *Capacitor) StampAC(s *mna.ComplexSystem, xop []float64, omega float64) {
-	c.StampACReactive(s, xop, omega)
-}
-
 // StampACBase implements ACSplitStamper: a capacitor is purely reactive.
 func (c *Capacitor) StampACBase(*mna.ComplexSystem, []float64) {}
 
-// StampACReactive implements ACSplitStamper.
+// StampACReactive implements ACSplitStamper with admittance jωC.
 func (c *Capacitor) StampACReactive(s *mna.ComplexSystem, _ []float64, omega float64) {
 	s.StampAdmittance(c.idx[0], c.idx[1], complex(0, omega*c.C))
 }
@@ -274,13 +264,8 @@ func (l *Inductor) Commit(x []float64, state []float64, ctx *Context) {
 	state[1] = req*i - veq
 }
 
-// StampAC implements ACStamper: branch equation V(a) − V(b) = jωL·i.
-func (l *Inductor) StampAC(s *mna.ComplexSystem, xop []float64, omega float64) {
-	l.StampACBase(s, xop)
-	l.StampACReactive(s, xop, omega)
-}
-
-// StampACBase implements ACSplitStamper: the branch constraint pattern.
+// StampACBase implements ACSplitStamper: the branch constraint pattern
+// of V(a) − V(b) = jωL·i.
 func (l *Inductor) StampACBase(s *mna.ComplexSystem, _ []float64) {
 	br := l.branch
 	s.Add(l.idx[0], br, 1)

@@ -65,17 +65,10 @@ func (v *VSource) StampLinearRHS(s *mna.System, ctx *Context) {
 	s.AddRHS(v.branch, val*ctx.SrcScale)
 }
 
-// StampAC implements ACStamper. Independent sources are AC-quiet unless
-// designated as the AC input via ACMagnitude on the analysis, so the
-// branch enforces ΔV = 0 here; the engine overrides the RHS for the
-// excitation source.
-func (v *VSource) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
-	v.StampACBase(s, xop)
-}
-
-// StampACBase implements ACSplitStamper. The RHS entry is zero, so only
-// the matrix pattern is stamped; the engine drives the excitation
-// through the RHS separately.
+// StampACBase implements ACSplitStamper. Independent sources are
+// AC-quiet unless the analysis drives them as its input, so the branch
+// enforces ΔV = 0: the RHS entry is zero and only the matrix pattern is
+// stamped; the engine drives the excitation through the RHS separately.
 func (v *VSource) StampACBase(s *mna.ComplexSystem, _ []float64) {
 	br := v.branch
 	s.Add(v.idx[0], br, 1)
@@ -131,10 +124,7 @@ func (i *ISource) StampLinearRHS(s *mna.System, ctx *Context) {
 	s.StampCurrent(i.idx[1], i.idx[0], val*ctx.SrcScale)
 }
 
-// StampAC implements ACStamper: quiet in AC analysis.
-func (i *ISource) StampAC(_ *mna.ComplexSystem, _ []float64, _ float64) {}
-
-// StampACBase implements ACSplitStamper.
+// StampACBase implements ACSplitStamper: quiet in AC analysis.
 func (i *ISource) StampACBase(*mna.ComplexSystem, []float64) {}
 
 // StampACReactive implements ACSplitStamper.
@@ -189,11 +179,6 @@ func (e *VCVS) stampReal(s *mna.System) {
 	s.Add(br, cm, e.Gain)
 }
 
-// StampAC implements ACStamper.
-func (e *VCVS) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
-	e.StampACBase(s, xop)
-}
-
 // StampACBase implements ACSplitStamper.
 func (e *VCVS) StampACBase(s *mna.ComplexSystem, _ []float64) {
 	br := e.branch
@@ -237,11 +222,6 @@ func (g *VCCS) StampLinearMatrix(s *mna.System, _ *Context) {
 
 // StampLinearRHS implements LinearStamper.
 func (g *VCCS) StampLinearRHS(*mna.System, *Context) {}
-
-// StampAC implements ACStamper.
-func (g *VCCS) StampAC(s *mna.ComplexSystem, xop []float64, _ float64) {
-	g.StampACBase(s, xop)
-}
 
 // StampACBase implements ACSplitStamper.
 func (g *VCCS) StampACBase(s *mna.ComplexSystem, _ []float64) {

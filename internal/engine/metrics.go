@@ -67,15 +67,6 @@ func (p PhaseStats) Avg() time.Duration {
 	return p.Wall / time.Duration(p.Count)
 }
 
-// BreakerStats is a snapshot of the session-level low-rank circuit
-// breaker (zero when no breaker is armed): how often the fallback-rate
-// threshold tripped it, and whether it is currently holding the session
-// on the slow path.
-type BreakerStats struct {
-	Trips uint64
-	Open  bool
-}
-
 // Metrics is a point-in-time snapshot of an engine's observability
 // counters: where simulation time went, how well the response cache is
 // working, and what the simulation kernel did for it.
@@ -98,9 +89,6 @@ type Metrics struct {
 	// (the simulation kernel's per-analysis wall times and Newton
 	// iteration counts), filled like Solver. Nil otherwise.
 	Durations []hist.NamedSnapshot
-	// Breaker carries the low-rank circuit breaker's state, filled by
-	// core.Session.Metrics (zero when no breaker is armed).
-	Breaker BreakerStats
 }
 
 // Phase returns the stats of the named phase (zero value when the phase

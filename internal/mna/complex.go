@@ -14,13 +14,6 @@ type ComplexSystem struct {
 	perm []int
 	x    []complex128
 	dinv []complex128 // reciprocal pivots of the factorization
-	// facValid records that lu/perm/dinv hold a successful factorization,
-	// the precondition of the low-rank update path (lowrank.go).
-	facValid bool
-	rk       complexRankScratch
-	rk1r     [1]int
-	rk1c     [1]int
-	rk1g     [1]complex128
 }
 
 // NewComplexSystem returns a zeroed n-dimensional complex system.
@@ -160,12 +153,6 @@ func (s *ComplexSystem) FactorInPlace() error {
 }
 
 func (s *ComplexSystem) factor() error {
-	err := s.factorLU()
-	s.facValid = err == nil
-	return err
-}
-
-func (s *ComplexSystem) factorLU() error {
 	n := s.n
 	m := s.lu
 	for i := range s.perm {

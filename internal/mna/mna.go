@@ -40,13 +40,6 @@ type System struct {
 	prev []float64 // matrix bits behind the current factorization
 	dinv []float64 // reciprocal pivots of the factorization
 	luOK bool      // lu/perm correspond to prev
-	// facValid records that lu/perm/dinv hold a successful factorization,
-	// the precondition of the low-rank update path (lowrank.go).
-	facValid bool
-	rk       rankScratch
-	rk1r     [1]int
-	rk1c     [1]int
-	rk1g     [1]float64
 }
 
 // NewSystem returns a zeroed n-dimensional system.
@@ -192,9 +185,7 @@ func (s *System) StampVCCS(p, m, cp, cm int, g float64) {
 func (s *System) Factor() error {
 	s.luOK = false
 	copy(s.lu, s.a)
-	err := luFactor(s.lu, s.perm, s.dinv, s.n)
-	s.facValid = err == nil
-	return err
+	return luFactor(s.lu, s.perm, s.dinv, s.n)
 }
 
 // FactorInPlace factors the stamped matrix destructively: the matrix
@@ -207,9 +198,7 @@ func (s *System) FactorInPlace() error {
 	// used to be the stamp buffer; the next SetMatrix/Clear overwrites it.
 	s.luOK = false
 	s.a, s.lu = s.lu, s.a
-	err := luFactor(s.lu, s.perm, s.dinv, s.n)
-	s.facValid = err == nil
-	return err
+	return luFactor(s.lu, s.perm, s.dinv, s.n)
 }
 
 // Solve solves the factored system for the stamped right-hand side and
@@ -257,11 +246,9 @@ func (s *System) FactorSolveInto(dst []float64) (reused bool, err error) {
 	copy(s.lu, s.prev)
 	s.luOK = false
 	if err := luFactor(s.lu, s.perm, s.dinv, s.n); err != nil {
-		s.facValid = false
 		return false, err
 	}
 	s.luOK = true
-	s.facValid = true
 	s.SolveInto(dst)
 	return false, nil
 }

@@ -15,9 +15,6 @@
 //     all lanes); retries, checkpoint writes/errors, resumes and fault
 //     verdicts become thread-scoped instants on the lane of their
 //     enclosing span (or the "events" lane when unparented).
-//   - A span whose end attributes report woodbury_fallbacks > 0 (the
-//     low-rank update guard tripped) additionally gets a thread-scoped
-//     "guard_fallback" instant at its end timestamp.
 //   - High-frequency point events (opt_iter, impact_step, cache_hit,
 //     cache_miss) are dropped: they would dominate the file size while
 //     the aggregate tables already report their counts.
@@ -165,13 +162,6 @@ func Convert(r io.Reader) (*Trace, error) {
 				TS: float64(start) / 1e3, Dur: dur,
 				Pid: pid, Tid: tid, Args: args,
 			})
-			if n, ok := args["woodbury_fallbacks"].(float64); ok && n > 0 {
-				c.out = append(c.out, Event{
-					Name: "guard_fallback", Cat: "guard", Ph: "i", Scope: "t",
-					TS: float64(ev.TS) / 1e3, Pid: pid, Tid: tid,
-					Args: map[string]any{"fallbacks": n},
-				})
-			}
 		case obs.TypeEvent:
 			switch {
 			case ev.Name == "quarantine":

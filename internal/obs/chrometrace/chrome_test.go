@@ -25,7 +25,7 @@ func journalFor(t *testing.T, cancel bool) []byte {
 	tr.Event(octx, "retry", obs.Int("attempt", 1))
 	tr.Event(octx, "opt_iter", obs.Int("i", 0)) // high-frequency: must be dropped
 	opt.End(obs.F64("soft_s", 1.5))
-	tr.Complete("sim.op", 5*time.Millisecond, obs.I64("woodbury_fallbacks", 3))
+	tr.Complete("sim.op", 5*time.Millisecond, obs.I64("newton_iters", 3))
 	tr.Event(gctx, "quarantine", obs.String("fault", "C1.open"), obs.String("phase", "optimize"))
 	gen.End()
 	_, cp := tr.Start(ctx, "compact")
@@ -86,7 +86,7 @@ func TestConvertShape(t *testing.T) {
 	}
 
 	// Quarantine: global instant. Retry: thread instant on the lane of
-	// its enclosing span (optimize). Guard fallback: instant on sim.op.
+	// its enclosing span (optimize).
 	q := byName["quarantine C1.open"]
 	if len(q) != 1 || q[0].Ph != "i" || q[0].Scope != "g" {
 		t.Fatalf("quarantine instant: %+v", q)
@@ -94,10 +94,6 @@ func TestConvertShape(t *testing.T) {
 	r := byName["retry"]
 	if len(r) != 1 || r[0].Scope != "t" || lanes[r[0].Tid] != "optimize" {
 		t.Fatalf("retry instant: %+v (lane %q)", r, lanes[r[0].Tid])
-	}
-	g := byName["guard_fallback"]
-	if len(g) != 1 || lanes[g[0].Tid] != "sim.op" || g[0].Args["fallbacks"] != float64(3) {
-		t.Fatalf("guard_fallback instant: %+v", g)
 	}
 
 	// High-frequency events must not leak into the trace.

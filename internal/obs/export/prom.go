@@ -183,8 +183,6 @@ func PromFromMetrics(p *PromText, m api.MetricsSnapshot) {
 		{"base_hits", sv.BaseHits},
 		{"recovery_attempts", sv.RecoveryAttempts},
 		{"recoveries", sv.Recoveries},
-		{"woodbury_solves", sv.WoodburySolves},
-		{"woodbury_fallbacks", sv.WoodburyFallbacks},
 		{"faulty_factor_avoided", sv.FaultyFactorAvoided},
 	}
 	for _, s := range solver {
@@ -192,12 +190,6 @@ func PromFromMetrics(p *PromText, m api.MetricsSnapshot) {
 			PromLabels{{"kind", s.what}}, float64(s.v))
 	}
 	p.Counter("atpg_task_panics_total", "Panics recovered at the task isolation boundary.", nil, float64(m.TaskPanics))
-	p.Counter("atpg_breaker_trips_total", "Low-rank circuit-breaker trips (sessions pinned to the slow path).", nil, float64(m.BreakerTrips))
-	open := 0.0
-	if m.BreakerOpen {
-		open = 1
-	}
-	p.Gauge("atpg_breaker_open", "Whether the low-rank circuit breaker is currently open (1 = slow path pinned).", nil, open)
 }
 
 // PromSample is one parsed sample line.

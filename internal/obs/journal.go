@@ -147,8 +147,9 @@ var v2EventNames = map[string]bool{
 }
 
 // v3EventNames are the resource-governance point-event names added in
-// schema v3 (the circuit breaker's state transitions). Journals that
-// declare v1 or v2 must not contain them.
+// schema v3 (the state transitions of a circuit breaker the solver no
+// longer has; nothing emits them, and they stay so that older journals
+// validate). Journals that declare v1 or v2 must not contain them.
 var v3EventNames = map[string]bool{
 	"breaker_trip":  true,
 	"breaker_reset": true,

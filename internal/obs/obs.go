@@ -34,9 +34,9 @@ import (
 //	    "checkpoint_write", "resume", and a "verdict" attribute on
 //	    "fault_verdict". Purely additive; v1 readers that ignore unknown
 //	    event names can still consume v2 journals.
-//	3 — resource-governance events: "breaker_trip", "breaker_reset",
-//	    and a "reason" attribute on "quarantine" ("panic" or "stalled").
-//	    Purely additive over v2.
+//	3 — resource-governance events: "breaker_trip", "breaker_reset"
+//	    (no longer emitted), and a "reason" attribute on "quarantine"
+//	    ("panic" or "stalled"). Purely additive over v2.
 //	4 — distributed-execution events: "worker_join", "worker_lost",
 //	    "shard_assign", "shard_done", "shard_requeue", plus a "shard"
 //	    attribute on records stitched in from worker journals. Purely

@@ -89,10 +89,9 @@ func WriteMetrics(w io.Writer, m api.MetricsSnapshot) error {
 		sv.Solves, sv.NewtonIterations, sv.Factorizations, sv.FactorReuses, sv.Stamps, sv.BaseBuilds, sv.BaseHits); err != nil {
 		return err
 	}
-	if sv.WoodburySolves > 0 || sv.WoodburyFallbacks > 0 || sv.FaultyFactorAvoided > 0 {
+	if sv.FaultyFactorAvoided > 0 {
 		if _, err := fmt.Fprintf(w,
-			"low-rank economy: %d Woodbury solves, %d guard fallbacks, %d faulty factorizations avoided\n",
-			sv.WoodburySolves, sv.WoodburyFallbacks, sv.FaultyFactorAvoided); err != nil {
+			"retained evaluators: %d faulty factorizations avoided\n", sv.FaultyFactorAvoided); err != nil {
 			return err
 		}
 	}

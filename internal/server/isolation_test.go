@@ -73,7 +73,8 @@ func finishedJob(t *testing.T, s *Server, base, id string) jobRun {
 }
 
 // TestConcurrentJobsIsolated runs two real jobs at once on a two-slot
-// daemon: one with a retry policy and an armed breaker, one plain. Each
+// daemon: one with a retry policy (and breaker_fallbacks, an accepted
+// no-op), one plain. Each
 // must report exactly what it reports running alone — result bytes,
 // solver counters, histogram counts — and its journal must hold one
 // sim.* span per analysis its own histograms counted.

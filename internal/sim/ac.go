@@ -64,9 +64,8 @@ type ACSweep struct {
 	xop   []float64
 
 	// split devices contribute to the base once and reactive terms per
-	// point; legacy ACStampers are conservatively re-stamped per point.
-	split  []device.ACSplitStamper
-	legacy []device.ACStamper
+	// point.
+	split []device.ACSplitStamper
 }
 
 // PrepareAC assembles the reusable base for a small-signal sweep driven
@@ -92,8 +91,6 @@ func (e *Engine) PrepareAC(xop []float64, input string) (*ACSweep, error) {
 	for _, d := range e.ckt.Devices() {
 		if sp, ok := d.(device.ACSplitStamper); ok {
 			sw.split = append(sw.split, sp)
-		} else if ac, ok := d.(device.ACStamper); ok {
-			sw.legacy = append(sw.legacy, ac)
 		}
 	}
 
@@ -129,10 +126,7 @@ func (sw *ACSweep) assembleAt(omega float64) {
 	for _, d := range sw.split {
 		d.StampACReactive(sw.sys, sw.xop, omega)
 	}
-	for _, d := range sw.legacy {
-		d.StampAC(sw.sys, sw.xop, omega)
-	}
-	e.stats.Stamps += uint64(len(sw.split) + len(sw.legacy))
+	e.stats.Stamps += uint64(len(sw.split))
 }
 
 // SolveAt solves the driven system at angular frequency omega into dst

@@ -144,10 +144,6 @@ type Engine struct {
 
 	stats   Counters
 	flushed Counters // portion of stats already added to opts.Probe
-
-	// lr is the registered low-rank fault perturbation, nil unless
-	// EnableLowRank was called (lowrank.go).
-	lr *lowRank
 }
 
 // New compiles the circuit (if needed) and returns an engine.
@@ -373,18 +369,6 @@ func (e *Engine) OperatingPoint() ([]float64, error) {
 func (e *Engine) OperatingPointInto(x []float64) error {
 	t0, pre := e.traceStart()
 	defer e.traceEnd("op", t0, pre)
-	if e.lr != nil && e.matrixInvariant() {
-		if err := e.woodburyOP(x); err == nil {
-			return nil
-		}
-		// Guard trip or singular base: drop the retained factorization and
-		// run the full strategy, which restamps at the current values.
-		e.stats.WoodburyFallbacks++
-		e.lr.facOK = false
-		for i := range x {
-			x[i] = 0
-		}
-	}
 	err := e.solveOperatingPoint(x)
 	if err == nil || len(e.opts.Recovery) == 0 {
 		return err

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/fault"
 	"repro/internal/macros"
 	"repro/internal/wave"
 )
@@ -147,43 +146,6 @@ func exitCases() []exitCase {
 			}
 			return nil
 		}},
-		{"Woodbury fallback", func(opts Options, after func(*Engine)) error {
-			// As in TestWoodburyFallbackGuard: n9 hangs off the ladder
-			// only through the fault, so a near-open fault trips the
-			// update guard.
-			c := lrLadder()
-			c.Add(device.NewCapacitor("Chang", "n9", "0", 1e-12))
-			f := fault.NewBridge("n2", "n9", 10e3)
-			fc, err := f.Insert(c)
-			if err != nil {
-				return err
-			}
-			e, err := New(fc, opts)
-			if err != nil {
-				return err
-			}
-			rows, cols, vals, err := f.Perturbation(fc)
-			if err != nil {
-				return err
-			}
-			if err := e.EnableLowRank(Perturb{Device: f.ImpactDevice(), RowA: rows, RowB: cols, Vals: vals}); err != nil {
-				return err
-			}
-			for _, r := range []float64{10e3, 1e12} {
-				if err := e.Retarget(f.ImpactDevice(), r); err != nil {
-					return err
-				}
-				_, err := e.OperatingPoint()
-				after(e)
-				if err != nil {
-					return err
-				}
-			}
-			if st := e.Stats(); st.WoodburySolves == 0 || st.WoodburyFallbacks == 0 {
-				return fmt.Errorf("%d Woodbury solves, %d fallbacks, want both", st.WoodburySolves, st.WoodburyFallbacks)
-			}
-			return nil
-		}},
 		{"transient", func(opts Options, after func(*Engine)) error {
 			e, err := New(macros.IVConverter(), opts)
 			if err != nil {
@@ -198,8 +160,7 @@ func exitCases() []exitCase {
 
 // TestProbeExactOnEveryExit: an engine flushes its counters into its
 // probe once per analysis, and after every analysis — failed partway,
-// failed after a recovery ladder, served by a Woodbury fallback, or
-// successful — the probe holds exactly the engine's counters.
+// failed after a recovery ladder, or successful — the probe holds exactly the engine's counters.
 func TestProbeExactOnEveryExit(t *testing.T) {
 	for _, c := range exitCases() {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/cmplx"
 	"strings"
 	"testing"
 
@@ -467,5 +468,53 @@ func TestNewRejectsUnsplitDynamic(t *testing.T) {
 	c.Add(unsplitDynamic{device.NewResistor("X1", "in", "0", 1e3)})
 	if _, err := New(c, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "X1") {
 		t.Fatalf("New error %v, want one naming X1", err)
+	}
+}
+
+// TestACBJTCommonEmitterRecorded: a degenerated common-emitter stage with
+// Miller and load capacitors. The BJT stamps its hybrid-π conductances
+// into the frequency-independent AC base; the phasors must match the
+// values recorded when it was re-stamped at every frequency point.
+func TestACBJTCommonEmitterRecorded(t *testing.T) {
+	c := circuit.New("ce-amp")
+	c.Add(device.NewDCVSource("Vcc", "vcc", "0", 10))
+	c.Add(device.NewVSource("Vin", "in", "0", wave.DC(0.75)))
+	c.Add(device.NewResistor("Rb", "in", "b", 1e3))
+	c.Add(device.NewBJT("Q1", "c", "b", "e", device.DefaultNPNModel()))
+	c.Add(device.NewResistor("RE", "e", "0", 100))
+	c.Add(device.NewResistor("RC", "vcc", "c", 5e3))
+	c.Add(device.NewCapacitor("Cbc", "b", "c", 2e-12))
+	c.Add(device.NewCapacitor("CL", "c", "0", 10e-12))
+	e := newEngine(t, c)
+	xop, err := e.OperatingPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.AC(xop, "Vin", LogSpace(1e3, 1e9, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// V(b), V(c), V(e) at 1 kHz, 100 kHz, 10 MHz and 1 GHz.
+	want := []complex128{
+		complex(0.9389849179285391, -0.000371055677197997),
+		complex(-30.507381397487325, 0.023615518194042437),
+		complex(0.6162492845375698, -0.000243521265603833),
+		complex(0.9361714374308469, -0.03688968991054194),
+		complex(-30.32724193893953, 2.347729226967056),
+		complex(0.6144028168141178, -0.0242104474524844),
+		complex(0.46526164473712345, -0.08368680797818955),
+		complex(-0.24397046816914458, 3.9310434324435017),
+		complex(0.30534798825580894, -0.054923071241190204),
+		complex(0.018830987579230178, -0.0915951941275096),
+		complex(0.011068443561534578, -0.01361361821094356),
+		complex(0.012358646450293274, -0.06011329018221072),
+	}
+	for i := range res.Freqs {
+		for j, node := range []string{"b", "c", "e"} {
+			got, w := res.Voltage(i, node), want[3*i+j]
+			if cmplx.Abs(got-w) > 1e-12*cmplx.Abs(w) {
+				t.Errorf("V(%s) at %g Hz = %v, recorded %v", node, res.Freqs[i], got, w)
+			}
+		}
 	}
 }

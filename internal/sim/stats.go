@@ -35,18 +35,10 @@ type Counters struct {
 	RecoveryAttempts uint64
 	// Recoveries counts operating points rescued by a ladder rung.
 	Recoveries uint64
-	// WoodburySolves counts solves served by the Sherman–Morrison–
-	// Woodbury fast path against a retained factorization (lowrank.go).
-	WoodburySolves uint64
-	// WoodburyFallbacks counts eligible solves where the update guard
-	// tripped (or the update went non-finite) and the engine fell back to
-	// a full restamp+factor.
-	WoodburyFallbacks uint64
-	// FaultyFactorAvoided counts faulty-circuit factor-from-scratch
-	// cycles the low-rank machinery avoided: Woodbury solves served
-	// without refactoring the retained base, plus retained-evaluator
-	// evaluations upstream that skipped a full insert+compile+factor
-	// (credited with Probe.Add).
+	// FaultyFactorAvoided counts faulty-circuit evaluations that ran on
+	// a retained evaluator and so skipped a full insert+clone+compile
+	// cycle. The kernel never sets it; the retained fault evaluators in
+	// internal/core credit it with Probe.Add.
 	FaultyFactorAvoided uint64
 }
 
@@ -61,26 +53,21 @@ func (c *Counters) Add(d Counters) {
 	c.BaseHits += d.BaseHits
 	c.RecoveryAttempts += d.RecoveryAttempts
 	c.Recoveries += d.Recoveries
-	c.WoodburySolves += d.WoodburySolves
-	c.WoodburyFallbacks += d.WoodburyFallbacks
 	c.FaultyFactorAvoided += d.FaultyFactorAvoided
 }
 
 // Sub returns c − d (no underflow checking; d is always a prefix of c).
 func (c Counters) Sub(d Counters) Counters {
 	return Counters{
-		Stamps:           c.Stamps - d.Stamps,
-		Factorizations:   c.Factorizations - d.Factorizations,
-		FactorReuses:     c.FactorReuses - d.FactorReuses,
-		NewtonIterations: c.NewtonIterations - d.NewtonIterations,
-		Solves:           c.Solves - d.Solves,
-		BaseBuilds:       c.BaseBuilds - d.BaseBuilds,
-		BaseHits:         c.BaseHits - d.BaseHits,
-		RecoveryAttempts: c.RecoveryAttempts - d.RecoveryAttempts,
-		Recoveries:       c.Recoveries - d.Recoveries,
-
-		WoodburySolves:      c.WoodburySolves - d.WoodburySolves,
-		WoodburyFallbacks:   c.WoodburyFallbacks - d.WoodburyFallbacks,
+		Stamps:              c.Stamps - d.Stamps,
+		Factorizations:      c.Factorizations - d.Factorizations,
+		FactorReuses:        c.FactorReuses - d.FactorReuses,
+		NewtonIterations:    c.NewtonIterations - d.NewtonIterations,
+		Solves:              c.Solves - d.Solves,
+		BaseBuilds:          c.BaseBuilds - d.BaseBuilds,
+		BaseHits:            c.BaseHits - d.BaseHits,
+		RecoveryAttempts:    c.RecoveryAttempts - d.RecoveryAttempts,
+		Recoveries:          c.Recoveries - d.Recoveries,
 		FaultyFactorAvoided: c.FaultyFactorAvoided - d.FaultyFactorAvoided,
 	}
 }
@@ -172,8 +159,8 @@ func (p *Probe) record(kind string, d time.Duration, delta Counters) {
 }
 
 // flushStats adds the engine's counter delta since the previous flush
-// to its probe. Called once per analysis (traceEnd) and by the AC and
-// low-rank entry points that run outside one, never per solve.
+// to its probe. Called once per analysis (traceEnd) and by the AC entry
+// points, which may run outside one, never per solve.
 func (e *Engine) flushStats() {
 	p := e.opts.Probe
 	if p == nil {

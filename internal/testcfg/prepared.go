@@ -95,10 +95,6 @@ func (c *Config) Prepare(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, er
 	return ev, nil
 }
 
-// Engine exposes the retained engine, the handle core needs to register
-// low-rank fault perturbations and resolve node indices once per fault.
-func (ev *Evaluator) Engine() *sim.Engine { return ev.eng }
-
 // Retarget changes the resistance of one resistor on the retained
 // circuit (the fault's impact device) and invalidates the engine's
 // snapshots accordingly.

@@ -6,11 +6,8 @@ import (
 )
 
 // Option configures a System constructor. Options are applied over the
-// experiment-grade defaults (DefaultSessionConfig) in call order.
-//
-// A full SessionConfig value is itself an Option that replaces the
-// entire configuration, which keeps the pre-options call shape
-// NewIVConverterSystem(cfg) compiling unchanged.
+// experiment-grade defaults (grid box functions, the paper's impact-loop
+// constants) in call order.
 type Option interface {
 	applyOption(*core.Config)
 }
@@ -19,33 +16,6 @@ type Option interface {
 type optionFunc func(*core.Config)
 
 func (f optionFunc) applyOption(c *core.Config) { f(c) }
-
-// applyOption makes a SessionConfig usable as an Option: it replaces the
-// whole configuration.
-//
-// Deprecated: the struct-literal configuration path is kept only so
-// pre-options call sites compile. New code composes With... options;
-// code migrating off a stored SessionConfig wraps it in WithConfig once
-// and peels fields into options over time (see README "Migrating from
-// SessionConfig").
-func (cfg SessionConfig) applyOption(c *core.Config) { *c = core.Config(cfg) }
-
-// WithConfig is the migration bridge from the legacy SessionConfig
-// struct-literal path to the functional-options API: it applies the
-// whole legacy bundle as one option, so call sites can switch to the
-// options constructor shape first and replace the bundle with granular
-// With... options afterwards:
-//
-//	sys, err := repro.NewIVConverterSystem(
-//		repro.WithConfig(legacyCfg),   // step 1: adopt the options shape
-//		repro.WithWorkers(16),         // step 2: peel fields off the bundle
-//	)
-//
-// Like SessionConfig itself, WithConfig replaces the entire
-// configuration, so it must come before any granular options.
-func WithConfig(cfg SessionConfig) Option {
-	return optionFunc(func(c *core.Config) { *c = core.Config(cfg) })
-}
 
 // resolveConfig folds options over the defaults.
 func resolveConfig(opts []Option) core.Config {
@@ -124,18 +94,18 @@ func WithCacheEntries(n int) Option {
 // tolerance boxes, the cheap setup used by tests and interactive runs.
 func WithFastBoxes() Option { return WithBoxMode(BoxSeed) }
 
-// WithLowRankDisabled turns off the Sherman–Morrison fast path for
-// faulty evaluations, forcing every impact-ladder step through the
-// throwaway insert→compile→factor route. The fast path is bit-identical
-// by construction, so this exists for A/B benchmarking and for
-// isolating the solver when debugging — not as a correctness knob.
+// WithLowRankDisabled turns off the retained fault evaluators, forcing
+// every faulty evaluation through the throwaway insert→compile→factor
+// route. It exists for A/B benchmarking and for isolating the solver
+// when debugging.
 func WithLowRankDisabled() Option {
 	return optionFunc(func(c *core.Config) { c.DisableFastPath = true })
 }
 
 // WithCrossCheck replays every fast-path sensitivity through the
-// throwaway path and errors if the two disagree beyond 1e-9. Debug
-// mode: it doubles (or worse) the simulation cost.
+// throwaway path, and every analysis the memo serves on a freshly built
+// circuit, and fails the run on any bit difference. Debug mode: it
+// doubles (or worse) the simulation cost.
 func WithCrossCheck() Option {
 	return optionFunc(func(c *core.Config) { c.CrossCheck = true })
 }

@@ -29,27 +29,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigShapeStillWorks: the pre-options call shape
-// NewIVConverterSystem(cfg) must keep compiling and behaving — a full
-// SessionConfig acts as a single Option replacing the defaults.
-func TestDeprecatedConfigShapeStillWorks(t *testing.T) {
-	cfg := FastSetup()
-	cfg.Workers = 3
-	sys, err := NewIVConverterSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Sensitivity(0, sys.Faults()[0], []float64{20e-6}); err != nil {
-		t.Fatal(err)
-	}
-	// Options compose after a full config replacement.
-	sys2, err := NewIVConverterSystem(cfg, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sys2
-}
-
 func TestErrNoConfigsSentinel(t *testing.T) {
 	_, err := NewSystem(NewIVConverter(), nil)
 	if !errors.Is(err, ErrNoConfigs) {

@@ -26,8 +26,7 @@
 //	cov, err := sys.Coverage(repro.TestsOfCompact(compact), sys.Faults())
 //
 // Constructors take functional options (WithWorkers, WithBoxMode,
-// WithCorners, ...); a full SessionConfig still works as a single
-// option, so pre-options call sites compile unchanged.
+// WithCorners, ...).
 //
 // # Cancellation
 //
@@ -109,14 +108,7 @@ type (
 	Circuit = circuit.Circuit
 )
 
-// SessionConfig tunes a session (boxes, workers, impact loop). It is a
-// positional bundle kept for compatibility: it implements Option, so the
-// pre-options call shape NewIVConverterSystem(cfg) still works.
-//
-// Deprecated: prefer functional options (WithWorkers, WithBoxMode, ...).
-type SessionConfig core.Config
-
-// Box modes for WithBoxMode / SessionConfig.BoxMode.
+// Box modes for WithBoxMode.
 const (
 	// BoxGrid builds grid-interpolated box functions from corner runs.
 	BoxGrid = core.BoxGrid
@@ -133,23 +125,6 @@ const (
 	// PinholeImpact is the initial pinhole shunt resistance (2 kΩ).
 	PinholeImpact = 2e3
 )
-
-// DefaultSessionConfig returns the experiment-grade session settings
-// (grid box functions, the paper's impact-loop constants).
-//
-// Deprecated: constructors apply these defaults automatically; prefer
-// functional options for deviations.
-func DefaultSessionConfig() SessionConfig { return SessionConfig(core.DefaultConfig()) }
-
-// FastSetup returns cheaper session settings (seed-calibrated boxes) for
-// interactive use and tests.
-//
-// Deprecated: use WithFastBoxes (or WithBoxMode(BoxSeed)) instead.
-func FastSetup() SessionConfig {
-	cfg := core.DefaultConfig()
-	cfg.BoxMode = core.BoxSeed
-	return SessionConfig(cfg)
-}
 
 // DefaultCompactOptions returns δ = 0.1 with the default grouping radius.
 func DefaultCompactOptions() CompactOptions { return core.DefaultCompactOptions() }
@@ -196,9 +171,6 @@ type System struct {
 //
 //	sys, err := repro.NewIVConverterSystem(
 //		repro.WithWorkers(16), repro.WithBoxMode(repro.BoxSeed))
-//
-// The pre-options shape NewIVConverterSystem(cfg) keeps working because
-// SessionConfig implements Option.
 func NewIVConverterSystem(opts ...Option) (*System, error) {
 	return NewSystem(macros.IVConverter(), testcfg.IVConfigs(), opts...)
 }

@@ -16,7 +16,7 @@ var (
 func fastSystem(t *testing.T) *System {
 	t.Helper()
 	sysOnce.Do(func() {
-		sysFast, sysErr = NewIVConverterSystem(FastSetup())
+		sysFast, sysErr = NewIVConverterSystem(WithFastBoxes())
 	})
 	if sysErr != nil {
 		t.Fatal(sysErr)
@@ -102,7 +102,7 @@ func TestNewSystemRejectsBrokenMacro(t *testing.T) {
 	c.Remove("Desd1")
 	c.Remove("Desd2")
 	// M1 gate node now dangles behind a single connection.
-	if _, err := NewSystem(c, IVConfigs(), FastSetup()); err == nil {
+	if _, err := NewSystem(c, IVConfigs(), WithFastBoxes()); err == nil {
 		t.Error("gutted macro accepted")
 	}
 }

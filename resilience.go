@@ -72,22 +72,6 @@ func WithStallTimeout(d time.Duration) Option {
 	return optionFunc(func(c *core.Config) { c.StallTimeout = d })
 }
 
-// WithBreaker arms the low-rank circuit breaker: when the session's
-// woodbury_fallbacks counter grows by at least fallbacks within window,
-// the session is pinned to the throwaway (slow) evaluation path for
-// cooldown, then re-admitted. Both paths are bit-identical, so tripping
-// never changes results — it only stops paying fast-path setup costs
-// that guard trips keep throwing away. Trips and resets are journaled
-// (breaker_trip / breaker_reset) and surfaced in Metrics. fallbacks <= 0
-// disables the breaker; window/cooldown <= 0 select 1s/5s.
-func WithBreaker(fallbacks int, window, cooldown time.Duration) Option {
-	return optionFunc(func(c *core.Config) {
-		c.BreakerFallbacks = fallbacks
-		c.BreakerWindow = window
-		c.BreakerCooldown = cooldown
-	})
-}
-
 // WithCheckpoint enables crash-safe checkpointing of per-fault
 // generation results to path: every write is atomic (temp file + fsync +
 // rename + directory fsync), debounced to at most one per interval

@@ -65,11 +65,6 @@ func FromRequest(req api.JobRequest) ([]Option, error) {
 	if o.StallTimeoutMS > 0 {
 		opts = append(opts, WithStallTimeout(time.Duration(o.StallTimeoutMS)*time.Millisecond))
 	}
-	if o.BreakerFallbacks > 0 {
-		opts = append(opts, WithBreaker(o.BreakerFallbacks,
-			time.Duration(o.BreakerWindowMS)*time.Millisecond,
-			time.Duration(o.BreakerCooldownMS)*time.Millisecond))
-	}
 	return opts, nil
 }
 
@@ -173,11 +168,6 @@ func (s *System) SessionRequest() api.JobRequest {
 		req.Options.AttemptTimeoutMS = cfg.Retry.AttemptTimeout.Milliseconds()
 	}
 	req.Options.StallTimeoutMS = cfg.StallTimeout.Milliseconds()
-	if cfg.BreakerFallbacks > 0 {
-		req.Options.BreakerFallbacks = cfg.BreakerFallbacks
-		req.Options.BreakerWindowMS = cfg.BreakerWindow.Milliseconds()
-		req.Options.BreakerCooldownMS = cfg.BreakerCooldown.Milliseconds()
-	}
 	return req
 }
 
@@ -195,23 +185,18 @@ func WireMetrics(m Metrics) api.MetricsSnapshot {
 			Entries:   m.Cache.Entries,
 		},
 		Solver: api.SolverMetrics{
-			Stamps:           m.Solver.Stamps,
-			Factorizations:   m.Solver.Factorizations,
-			FactorReuses:     m.Solver.FactorReuses,
-			NewtonIterations: m.Solver.NewtonIterations,
-			Solves:           m.Solver.Solves,
-			BaseBuilds:       m.Solver.BaseBuilds,
-			BaseHits:         m.Solver.BaseHits,
-			RecoveryAttempts: m.Solver.RecoveryAttempts,
-			Recoveries:       m.Solver.Recoveries,
-
-			WoodburySolves:      m.Solver.WoodburySolves,
-			WoodburyFallbacks:   m.Solver.WoodburyFallbacks,
+			Stamps:              m.Solver.Stamps,
+			Factorizations:      m.Solver.Factorizations,
+			FactorReuses:        m.Solver.FactorReuses,
+			NewtonIterations:    m.Solver.NewtonIterations,
+			Solves:              m.Solver.Solves,
+			BaseBuilds:          m.Solver.BaseBuilds,
+			BaseHits:            m.Solver.BaseHits,
+			RecoveryAttempts:    m.Solver.RecoveryAttempts,
+			Recoveries:          m.Solver.Recoveries,
 			FaultyFactorAvoided: m.Solver.FaultyFactorAvoided,
 		},
-		TaskPanics:   m.TaskPanics,
-		BreakerTrips: m.Breaker.Trips,
-		BreakerOpen:  m.Breaker.Open,
+		TaskPanics: m.TaskPanics,
 	}
 	for _, p := range m.Phases {
 		pm := api.PhaseMetrics{Name: p.Name, Count: p.Count, WallNS: int64(p.Wall)}

@@ -87,23 +87,3 @@ func TestFromRequestRejectsInvalid(t *testing.T) {
 		t.Fatal("future-version request accepted")
 	}
 }
-
-// TestWithConfigBridge pins the deprecation bridge: WithConfig applies
-// a legacy SessionConfig bundle inside the options constructor shape,
-// and granular options compose on top.
-func TestWithConfigBridge(t *testing.T) {
-	legacy := repro.FastSetup()
-	legacy.Workers = 7
-	sys, err := repro.NewSystem(repro.NewSimpleIVConverter(), repro.IVConfigs(),
-		repro.WithConfig(legacy), repro.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sys.Session().Config()
-	if cfg.Workers != 2 {
-		t.Fatalf("granular option did not override the bundle: workers = %d", cfg.Workers)
-	}
-	if cfg.BoxMode != repro.BoxSeed {
-		t.Fatalf("bundle fields lost: box mode = %v", cfg.BoxMode)
-	}
-}
