@@ -39,7 +39,6 @@ type goldenKernel struct {
 	} `json:"compact"`
 	ACMagDB     []float64 `json:"ac_mag_db"`
 	ACPhaseDeg  []float64 `json:"ac_phase_deg"`
-	NoiseVrtHz  []float64 `json:"noise_v_rthz"`
 	StepSamples []float64 `json:"step_samples"`
 }
 
@@ -141,7 +140,7 @@ func computeGolden(t testing.TB) goldenKernel {
 		}{ct.ConfigIdx, ct.Params, ct.Members})
 	}
 
-	// AC and noise kernels, straight on a sim engine.
+	// AC kernel, straight on a sim engine.
 	eng, err := sim.New(macros.IVConverter(), sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -158,13 +157,6 @@ func computeGolden(t testing.TB) goldenKernel {
 	for i := range freqs {
 		g.ACMagDB = append(g.ACMagDB, ac.MagDB(i, macros.NodeVout))
 		g.ACPhaseDeg = append(g.ACPhaseDeg, ac.PhaseDeg(i, macros.NodeVout))
-	}
-	nz, err := eng.Noise(xop, macros.NodeVout, []float64{1e4, 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range nz.Points {
-		g.NoiseVrtHz = append(g.NoiseVrtHz, pt.Density)
 	}
 
 	// Transient kernel: a short fixed-step step response, every 50th
@@ -274,6 +266,5 @@ func TestGoldenKernel(t *testing.T) {
 	}
 	vecNear("ac_mag_db", got.ACMagDB, want.ACMagDB)
 	vecNear("ac_phase_deg", got.ACPhaseDeg, want.ACPhaseDeg)
-	vecNear("noise", got.NoiseVrtHz, want.NoiseVrtHz)
 	vecNear("step", got.StepSamples, want.StepSamples)
 }

@@ -328,11 +328,6 @@ func (s *Session) Configs() []*testcfg.Config { return s.configs }
 // Box returns the tolerance-box function for configuration index ci.
 func (s *Session) Box(ci int) tolerance.BoxFunc { return s.boxes[ci] }
 
-// engineForEach exposes the session's pool to the other core files.
-func (s *Session) engineForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return s.eng.ForEach(ctx, n, fn)
-}
-
 // cornerDeviation runs the fault-free circuit at every corner and
 // returns the max deviation per return value of configuration ci at
 // parameters T. Every run goes through the analysis memo, so the

@@ -79,9 +79,9 @@ func TestInductorTransientCompanion(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		ctx := trCtx(float64(step+1)*dt, dt, Trapezoidal)
 		sys.Clear()
-		r.Stamp(sys, nil, ctx)
-		vs.Stamp(sys, nil, ctx)
-		l.StampDynamic(sys, nil, state, ctx)
+		stampLinear(sys, r, ctx)
+		stampLinear(sys, vs, ctx)
+		stampCompanion(sys, l, state, ctx)
 		var err error
 		x, err = sys.FactorSolve()
 		if err != nil {
@@ -196,7 +196,7 @@ func TestMOSCapTrapezoidalCompanion(t *testing.T) {
 	m.InitState([]float64{2, 1, 0}, state)
 	s := mna.NewSystem(3)
 	ctx := trCtx(1e-9, 1e-9, Trapezoidal)
-	m.StampDynamic(s, nil, state, ctx)
+	stampCompanion(s, m, state, ctx)
 	// Gate row picks up both capacitor companions.
 	wantG := 2*m.Cgs()/1e-9 + 2*m.Cgd()/1e-9
 	if got := s.At(1, 1); math.Abs(got-wantG) > 1e-9*wantG {

@@ -69,9 +69,9 @@ type Device interface {
 	Clone() Device
 }
 
-// Stamper is implemented by every device that contributes static (DC and
-// resistive) stamps. x is the current Newton estimate of the solution
-// vector; linear devices ignore it.
+// Stamper is implemented by devices whose static stamp depends on the
+// Newton estimate x — the MOSFET, the diode and the BJT. The engine
+// re-stamps them every Newton iteration.
 type Stamper interface {
 	Stamp(s *mna.System, x []float64, ctx *Context)
 }
@@ -88,10 +88,8 @@ type Stamper interface {
 //   - StampLinearRHS may additionally depend on Time and SrcScale; it is
 //     re-assembled once per solve (not per iteration).
 //
-// The embedded Stamp must remain equivalent to StampLinearMatrix followed
-// by StampLinearRHS; engines without the fast path still call it.
+// A device implements LinearStamper or Stamper, never both.
 type LinearStamper interface {
-	Stamper
 	// StampLinearMatrix adds the x-independent matrix entries.
 	StampLinearMatrix(s *mna.System, ctx *Context)
 	// StampLinearRHS adds the x-independent right-hand-side entries.
@@ -99,9 +97,16 @@ type LinearStamper interface {
 }
 
 // Dynamic is implemented by energy-storage devices. The engine allocates
-// NumStates float64 slots per device and threads them through the three
-// phase methods. The simulation engine requires every Dynamic to be a
-// SplitDynamic.
+// NumStates float64 slots per device and threads them through the phase
+// methods.
+//
+// The companion model comes in two halves. Its conductance pattern
+// depends only on the step configuration (Dt, Integ), never on the
+// committed state or the Newton estimate — true for every linear
+// reactance — so the engine folds StampCompanionMatrix into the cached
+// linear matrix snapshot (rebuilt only when Dt or the method changes)
+// and re-assembles only the state-dependent StampCompanionRHS once per
+// step.
 type Dynamic interface {
 	// NumStates returns how many state variables the device needs. A
 	// device reporting none stores no energy: the engine makes no
@@ -109,32 +114,15 @@ type Dynamic interface {
 	NumStates() int
 	// InitState fills state from a converged DC solution x.
 	InitState(x []float64, state []float64)
-	// StampDynamic stamps the companion model for the pending step; state
-	// holds the previous time point.
-	StampDynamic(s *mna.System, x []float64, state []float64, ctx *Context)
-	// Commit updates state from the accepted solution x of the step that
-	// ctx describes.
-	Commit(x []float64, state []float64, ctx *Context)
-}
-
-// SplitDynamic refines Dynamic for companion models whose conductance
-// pattern depends only on the step configuration (Dt, Integ), never on
-// the committed state or the Newton estimate — true for every linear
-// reactance. The engine folds StampCompanionMatrix into the cached linear
-// matrix snapshot (rebuilt only when Dt or the method changes, fixing the
-// stepper's restamp-on-every-step behaviour) and re-assembles only the
-// state-dependent StampCompanionRHS once per step.
-//
-// StampDynamic must remain equivalent to StampCompanionMatrix followed by
-// StampCompanionRHS.
-type SplitDynamic interface {
-	Dynamic
 	// StampCompanionMatrix adds the companion conductances, a function of
 	// ctx.Dt and ctx.Integ only.
 	StampCompanionMatrix(s *mna.System, ctx *Context)
 	// StampCompanionRHS adds the companion sources computed from the
 	// committed state of the previous time point.
 	StampCompanionRHS(s *mna.System, state []float64, ctx *Context)
+	// Commit updates state from the accepted solution x of the step that
+	// ctx describes.
+	Commit(x []float64, state []float64, ctx *Context)
 }
 
 // Brancher is implemented by devices that need extra MNA branch-current

@@ -20,11 +20,25 @@ func trCtx(t, dt float64, in Integration) *Context {
 	return &Context{Mode: Transient, Time: t, Dt: dt, SrcScale: 1, Integ: in}
 }
 
+// stampLinear adds both halves of a linear device's static stamp, as the
+// engine's linear snapshot and right-hand side together do.
+func stampLinear(s *mna.System, ls LinearStamper, ctx *Context) {
+	ls.StampLinearMatrix(s, ctx)
+	ls.StampLinearRHS(s, ctx)
+}
+
+// stampCompanion adds both halves of a dynamic device's companion model
+// for the step ctx describes.
+func stampCompanion(s *mna.System, dy Dynamic, state []float64, ctx *Context) {
+	dy.StampCompanionMatrix(s, ctx)
+	dy.StampCompanionRHS(s, state, ctx)
+}
+
 func TestResistorStamp(t *testing.T) {
 	r := NewResistor("R1", "a", "b", 2e3)
 	resolve(r, 0, 1)
 	s := mna.NewSystem(2)
-	r.Stamp(s, nil, opCtx())
+	stampLinear(s, r, opCtx())
 	g := 1 / 2e3
 	if s.At(0, 0) != g || s.At(1, 1) != g || s.At(0, 1) != -g || s.At(1, 0) != -g {
 		t.Error("resistor stamp pattern wrong")
@@ -64,6 +78,44 @@ func TestResistorScaleAndClone(t *testing.T) {
 	}
 }
 
+// TestEveryDeviceStampsOneWay pins the split-stamp contract (DESIGN.md
+// §8) on every device kind: a static stamp is either independent of the
+// Newton estimate (LinearStamper) or re-stamped every iteration
+// (Stamper), never both, and the energy-storing devices implement
+// Dynamic. A capacitor has no static stamp at all.
+func TestEveryDeviceStampsOneWay(t *testing.T) {
+	capModel := DefaultNMOSModel().WithGateCaps(3.45e-3, 0.3e-9, 0.3e-9)
+	for _, tc := range []struct {
+		dev     Device
+		static  bool // implements LinearStamper or Stamper
+		dynamic bool
+	}{
+		{NewResistor("R1", "a", "b", 1e3), true, false},
+		{NewCapacitor("C1", "a", "b", 1e-12), false, true},
+		{NewInductor("L1", "a", "b", 1e-6), true, true},
+		{NewDCVSource("V1", "a", "b", 1), true, false},
+		{NewDCISource("I1", "a", "b", 1e-6), true, false},
+		{NewVCVS("E1", "a", "b", "c", "d", 2), true, false},
+		{NewVCCS("G1", "a", "b", "c", "d", 1e-3), true, false},
+		{NewDiode("D1", "a", "b", nil), true, false},
+		{NewMOSFET("M1", "d", "g", "s", DefaultNMOSModel(), 10e-6, 1e-6), true, true},
+		{NewMOSFET("M2", "d", "g", "s", capModel, 10e-6, 1e-6), true, true},
+		{NewBJT("Q1", "c", "b", "e", DefaultNPNModel()), true, false},
+	} {
+		_, linear := tc.dev.(LinearStamper)
+		_, newton := tc.dev.(Stamper)
+		if linear && newton {
+			t.Errorf("%s (%T) is both a LinearStamper and a Stamper", tc.dev.Name(), tc.dev)
+		}
+		if (linear || newton) != tc.static {
+			t.Errorf("%s (%T): static stamper = %v, want %v", tc.dev.Name(), tc.dev, linear || newton, tc.static)
+		}
+		if _, ok := tc.dev.(Dynamic); ok != tc.dynamic {
+			t.Errorf("%s (%T): Dynamic = %v, want %v", tc.dev.Name(), tc.dev, ok, tc.dynamic)
+		}
+	}
+}
+
 func TestCapacitorOPIsOpen(t *testing.T) {
 	c := NewCapacitor("C1", "a", "b", 1e-12)
 	resolve(c, 0, 1)
@@ -88,7 +140,7 @@ func TestCapacitorBackwardEulerCompanion(t *testing.T) {
 	s := mna.NewSystem(1)
 	dt := 1e-9
 	ctx := trCtx(dt, dt, BackwardEuler)
-	c.StampDynamic(s, nil, state, ctx)
+	stampCompanion(s, c, state, ctx)
 	geq := 1e-9 / dt
 	if math.Abs(s.At(0, 0)-geq) > 1e-12 {
 		t.Errorf("geq = %g, want %g", s.At(0, 0), geq)
@@ -122,8 +174,8 @@ func TestCapacitorTrapezoidalRCDecay(t *testing.T) {
 	for step := 0; step < 100; step++ {
 		ctx := trCtx(float64(step+1)*dt, dt, Trapezoidal)
 		sys.Clear()
-		r.Stamp(sys, nil, ctx)
-		c.StampDynamic(sys, nil, state, ctx)
+		stampLinear(sys, r, ctx)
+		stampCompanion(sys, c, state, ctx)
 		x, err := sys.FactorSolve()
 		if err != nil {
 			t.Fatal(err)
@@ -149,9 +201,9 @@ func TestInductorOPIsShort(t *testing.T) {
 	l.SetBranchBase(3)
 	s := mna.NewSystem(4)
 	ctx := opCtx()
-	vs.Stamp(s, nil, ctx)
-	r.Stamp(s, nil, ctx)
-	l.Stamp(s, nil, ctx)
+	stampLinear(s, vs, ctx)
+	stampLinear(s, r, ctx)
+	stampLinear(s, l, ctx)
 	x, err := s.FactorSolve()
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +223,7 @@ func TestVSourceTransientFollowsWaveform(t *testing.T) {
 	vs.SetBranchBase(1)
 	s := mna.NewSystem(2)
 	ctx := trCtx(0.25e-3, 1e-6, Trapezoidal) // quarter period: peak
-	vs.Stamp(s, nil, ctx)
+	stampLinear(s, vs, ctx)
 	if math.Abs(s.RHS(1)-2) > 1e-9 {
 		t.Errorf("stamped V = %g, want 2 at sine peak", s.RHS(1))
 	}
@@ -183,7 +235,7 @@ func TestSourceScaling(t *testing.T) {
 	s := mna.NewSystem(1)
 	ctx := opCtx()
 	ctx.SrcScale = 0.5
-	is.Stamp(s, nil, ctx)
+	stampLinear(s, is, ctx)
 	if math.Abs(s.RHS(0)-5e-6) > 1e-18 {
 		t.Errorf("scaled injection = %g, want 5µA", s.RHS(0))
 	}
@@ -196,8 +248,8 @@ func TestISourceInjectsIntoPlus(t *testing.T) {
 	resolve(is, 0, -1)
 	resolve(r, 0, -1)
 	s := mna.NewSystem(1)
-	is.Stamp(s, nil, opCtx())
-	r.Stamp(s, nil, opCtx())
+	stampLinear(s, is, opCtx())
+	stampLinear(s, r, opCtx())
 	x, err := s.FactorSolve()
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +270,8 @@ func TestVCVSGain(t *testing.T) {
 	vc.SetBranchBase(2)
 	e.SetBranchBase(3)
 	s := mna.NewSystem(4)
-	for _, d := range []Stamper{vc, e, rl} {
-		d.Stamp(s, nil, opCtx())
+	for _, d := range []LinearStamper{vc, e, rl} {
+		stampLinear(s, d, opCtx())
 	}
 	x, err := s.FactorSolve()
 	if err != nil {

@@ -76,16 +76,10 @@ func capCompanion(c float64, vPrev, iPrev float64, ctx *Context) (geq, ieq float
 	return geq, ieq
 }
 
-// StampDynamic implements Dynamic: the two gate capacitors' companion
-// models between (gate, source) and (gate, drain).
-func (m *MOSFET) StampDynamic(s *mna.System, _ []float64, state []float64, ctx *Context) {
-	m.StampCompanionMatrix(s, ctx)
-	m.StampCompanionRHS(s, state, ctx)
-}
-
-// StampCompanionMatrix implements SplitDynamic. The simplified Meyer
-// capacitances are region-independent constants, so geq depends only on
-// the step configuration.
+// StampCompanionMatrix implements Dynamic: the conductances of the two
+// gate capacitors' companion models between (gate, source) and (gate,
+// drain). The simplified Meyer capacitances are region-independent
+// constants, so geq depends only on the step configuration.
 func (m *MOSFET) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	if !m.hasCaps() {
 		return
@@ -101,7 +95,8 @@ func (m *MOSFET) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	}
 }
 
-// StampCompanionRHS implements SplitDynamic.
+// StampCompanionRHS implements Dynamic: the two gate capacitors'
+// companion currents.
 func (m *MOSFET) StampCompanionRHS(s *mna.System, state []float64, ctx *Context) {
 	if !m.hasCaps() {
 		return

@@ -33,7 +33,7 @@ func TestDefaultModelHasNoCaps(t *testing.T) {
 	resolve(m, 0, 1, 2)
 	s := mna.NewSystem(3)
 	state := make([]float64, m.NumStates())
-	m.StampDynamic(s, nil, state, trCtx(1e-9, 1e-9, BackwardEuler))
+	stampCompanion(s, m, state, trCtx(1e-9, 1e-9, BackwardEuler))
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if s.At(i, j) != 0 {

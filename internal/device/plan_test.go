@@ -122,16 +122,12 @@ func TestDiodePlanMatchesStamp(t *testing.T) {
 	}
 }
 
-// TestStampPlanOnlyForMOSFETsAndDiodes: other devices keep stamping
-// themselves.
+// TestStampPlanOnlyForMOSFETsAndDiodes: the only other Stamper, the BJT,
+// keeps stamping itself.
 func TestStampPlanOnlyForMOSFETsAndDiodes(t *testing.T) {
 	q := NewBJT("Q1", "c", "b", "e", DefaultNPNModel())
 	resolve(q, 0, 1, 2)
-	r := NewResistor("R1", "a", "b", 1e3)
-	resolve(r, 0, 1)
-	for _, st := range []Stamper{q, r} {
-		if p, ok := NewStampPlan(st, 3); ok || p.Valid() {
-			t.Errorf("%T got a stamp plan", st)
-		}
+	if p, ok := NewStampPlan(q, 3); ok || p.Valid() {
+		t.Errorf("%T got a stamp plan", q)
 	}
 }

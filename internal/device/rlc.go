@@ -38,11 +38,6 @@ func (r *Resistor) SetResistance(rOhms float64) error {
 	return nil
 }
 
-// Stamp implements Stamper.
-func (r *Resistor) Stamp(s *mna.System, _ []float64, ctx *Context) {
-	r.StampLinearMatrix(s, ctx)
-}
-
 // StampLinearMatrix implements LinearStamper.
 func (r *Resistor) StampLinearMatrix(s *mna.System, _ *Context) {
 	s.StampConductance(r.idx[0], r.idx[1], 1/r.R)
@@ -96,17 +91,9 @@ func (c *Capacitor) InitState(x []float64, state []float64) {
 	state[1] = 0
 }
 
-// StampDynamic implements Dynamic: trapezoidal geq = 2C/dt with
-// Ieq = geq·v_n + i_n, or backward-Euler geq = C/dt with Ieq = geq·v_n.
-// The companion current Ieq flows from terminal b to a (source into the
-// + node).
-func (c *Capacitor) StampDynamic(s *mna.System, _ []float64, state []float64, ctx *Context) {
-	c.StampCompanionMatrix(s, ctx)
-	c.StampCompanionRHS(s, state, ctx)
-}
-
-// StampCompanionMatrix implements SplitDynamic: geq depends only on the
-// step size and method.
+// StampCompanionMatrix implements Dynamic: trapezoidal geq = 2C/dt or
+// backward-Euler geq = C/dt, a function of the step size and method
+// only.
 func (c *Capacitor) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	geq := c.C / ctx.Dt
 	if ctx.Integ == Trapezoidal {
@@ -115,7 +102,9 @@ func (c *Capacitor) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	s.StampConductance(c.idx[0], c.idx[1], geq)
 }
 
-// StampCompanionRHS implements SplitDynamic.
+// StampCompanionRHS implements Dynamic: trapezoidal Ieq = geq·v_n + i_n
+// or backward-Euler Ieq = geq·v_n. The companion current Ieq flows from
+// terminal b to a (source into the + node).
 func (c *Capacitor) StampCompanionRHS(s *mna.System, state []float64, ctx *Context) {
 	_, ieq := c.companion(state, ctx)
 	s.StampCurrent(c.idx[1], c.idx[0], ieq)
@@ -181,16 +170,10 @@ func (l *Inductor) SetBranchBase(base int) { l.branch = base }
 // BranchBase implements Brancher.
 func (l *Inductor) BranchBase() int { return l.branch }
 
-// Stamp implements Stamper. In OP mode the inductor is an ideal short:
-// V(a) − V(b) = 0 with the branch current as unknown. Transient stamping
-// happens in StampDynamic.
-func (l *Inductor) Stamp(s *mna.System, _ []float64, ctx *Context) {
-	l.StampLinearMatrix(s, ctx)
-}
-
-// StampLinearMatrix implements LinearStamper: the OP short-circuit
-// constraint pattern (the RHS entry is zero, so the matrix part is all
-// there is).
+// StampLinearMatrix implements LinearStamper. In OP mode the inductor is
+// an ideal short, V(a) − V(b) = 0 with the branch current as unknown; the
+// RHS entry is zero, so the matrix part is all there is. Transient
+// stamping happens in StampCompanionMatrix and StampCompanionRHS.
 func (l *Inductor) StampLinearMatrix(s *mna.System, ctx *Context) {
 	if ctx.Mode != OP {
 		return
@@ -214,17 +197,10 @@ func (l *Inductor) InitState(x []float64, state []float64) {
 	state[1] = 0 // dc voltage across an inductor is zero
 }
 
-// StampDynamic implements Dynamic using the branch formulation:
-// v = L·di/dt discretized as V(a) − V(b) − req·i = −veq with
-// req = 2L/dt (TR) and veq = req·i_n + v_n, or req = L/dt (BE) and
-// veq = req·i_n.
-func (l *Inductor) StampDynamic(s *mna.System, _ []float64, state []float64, ctx *Context) {
-	l.StampCompanionMatrix(s, ctx)
-	l.StampCompanionRHS(s, state, ctx)
-}
-
-// StampCompanionMatrix implements SplitDynamic: the branch pattern and
-// req depend only on the step size and method.
+// StampCompanionMatrix implements Dynamic using the branch formulation:
+// v = L·di/dt discretized as V(a) − V(b) − req·i = −veq, with req = 2L/dt
+// (TR) or L/dt (BE). The branch pattern and req depend only on the step
+// size and method.
 func (l *Inductor) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	req := l.L / ctx.Dt
 	if ctx.Integ == Trapezoidal {
@@ -238,7 +214,8 @@ func (l *Inductor) StampCompanionMatrix(s *mna.System, ctx *Context) {
 	s.Add(br, br, -req)
 }
 
-// StampCompanionRHS implements SplitDynamic.
+// StampCompanionRHS implements Dynamic: veq = req·i_n + v_n (TR) or
+// req·i_n (BE).
 func (l *Inductor) StampCompanionRHS(s *mna.System, state []float64, ctx *Context) {
 	_, veq := l.companion(state, ctx)
 	s.AddRHS(l.branch, -veq)

@@ -39,12 +39,6 @@ func (v *VSource) SetBranchBase(base int) { v.branch = base }
 // BranchBase implements Brancher.
 func (v *VSource) BranchBase() int { return v.branch }
 
-// Stamp implements Stamper.
-func (v *VSource) Stamp(s *mna.System, _ []float64, ctx *Context) {
-	v.StampLinearMatrix(s, ctx)
-	v.StampLinearRHS(s, ctx)
-}
-
 // StampLinearMatrix implements LinearStamper: the branch constraint
 // pattern, independent of the waveform.
 func (v *VSource) StampLinearMatrix(s *mna.System, _ *Context) {
@@ -107,11 +101,6 @@ func NewDCISource(name, plus, minus string, i float64) *ISource {
 // Clone implements Device.
 func (i *ISource) Clone() Device { return &ISource{base: i.cloneBase(), W: i.W} }
 
-// Stamp implements Stamper.
-func (i *ISource) Stamp(s *mna.System, _ []float64, ctx *Context) {
-	i.StampLinearRHS(s, ctx)
-}
-
 // StampLinearMatrix implements LinearStamper: a current source is pure RHS.
 func (i *ISource) StampLinearMatrix(*mna.System, *Context) {}
 
@@ -155,20 +144,8 @@ func (e *VCVS) SetBranchBase(base int) { e.branch = base }
 // BranchBase implements Brancher.
 func (e *VCVS) BranchBase() int { return e.branch }
 
-// Stamp implements Stamper.
-func (e *VCVS) Stamp(s *mna.System, _ []float64, _ *Context) {
-	e.stampReal(s)
-}
-
 // StampLinearMatrix implements LinearStamper.
 func (e *VCVS) StampLinearMatrix(s *mna.System, _ *Context) {
-	e.stampReal(s)
-}
-
-// StampLinearRHS implements LinearStamper.
-func (e *VCVS) StampLinearRHS(*mna.System, *Context) {}
-
-func (e *VCVS) stampReal(s *mna.System) {
 	br := e.branch
 	p, m, cp, cm := e.idx[0], e.idx[1], e.idx[2], e.idx[3]
 	s.Add(p, br, 1)
@@ -178,6 +155,9 @@ func (e *VCVS) stampReal(s *mna.System) {
 	s.Add(br, cp, -e.Gain)
 	s.Add(br, cm, e.Gain)
 }
+
+// StampLinearRHS implements LinearStamper.
+func (e *VCVS) StampLinearRHS(*mna.System, *Context) {}
 
 // StampACBase implements ACSplitStamper.
 func (e *VCVS) StampACBase(s *mna.ComplexSystem, _ []float64) {
@@ -209,11 +189,6 @@ func NewVCCS(name, p, m, cp, cm string, gm float64) *VCCS {
 
 // Clone implements Device.
 func (g *VCCS) Clone() Device { return &VCCS{base: g.cloneBase(), Gm: g.Gm} }
-
-// Stamp implements Stamper.
-func (g *VCCS) Stamp(s *mna.System, _ []float64, ctx *Context) {
-	g.StampLinearMatrix(s, ctx)
-}
 
 // StampLinearMatrix implements LinearStamper.
 func (g *VCCS) StampLinearMatrix(s *mna.System, _ *Context) {

@@ -1,7 +1,7 @@
 // Package dsp post-processes transient waveforms into the return values
 // the test configurations report: total harmonic distortion via Goertzel
-// single-bin DFTs, RMS and mean levels, peak detection, accumulation
-// (the paper's ΣV return value) and settling metrics.
+// single-bin DFTs, peak detection, accumulation (the paper's ΣV return
+// value) and the SINAD of a coherent spectrum.
 package dsp
 
 import (
@@ -72,30 +72,6 @@ func THDPercent(samples []float64, cycles, maxHarmonic int) (float64, error) {
 	return 100 * math.Sqrt(sum) / fund, nil
 }
 
-// Mean returns the average of samples (0 for an empty slice).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range samples {
-		s += v
-	}
-	return s / float64(len(samples))
-}
-
-// RMS returns the root-mean-square of samples.
-func RMS(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range samples {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(samples)))
-}
-
 // Max returns the maximum sample (−Inf for an empty slice), the paper's
 // Max(y1..yn) post-processing operator.
 func Max(samples []float64) float64 {
@@ -108,25 +84,6 @@ func Max(samples []float64) float64 {
 	return m
 }
 
-// Min returns the minimum sample (+Inf for an empty slice).
-func Min(samples []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range samples {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// PeakToPeak returns Max − Min (0 for an empty slice).
-func PeakToPeak(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	return Max(samples) - Min(samples)
-}
-
 // Accumulate returns the sum of samples scaled by the sample interval —
 // the discrete integral ΣV·Δt of the paper's "sample and accumulate"
 // return value (Fig. 1).
@@ -136,68 +93,4 @@ func Accumulate(samples []float64, dt float64) float64 {
 		s += v
 	}
 	return s * dt
-}
-
-// Resample picks the sample nearest to each requested time from a
-// (times, values) record, emulating an ATE sampling comb (e.g. 100 MHz
-// for 7.5 µs in test configurations #4/#5). times must be ascending.
-func Resample(times, values []float64, at []float64) []float64 {
-	out := make([]float64, len(at))
-	j := 0
-	for i, t := range at {
-		for j+1 < len(times) && math.Abs(times[j+1]-t) <= math.Abs(times[j]-t) {
-			j++
-		}
-		if len(values) > 0 {
-			out[i] = values[j]
-		}
-	}
-	return out
-}
-
-// SettlingTime returns the first time after which the signal stays within
-// ±tol of its final value, or −1 if it never settles.
-func SettlingTime(times, values []float64, tol float64) float64 {
-	if len(values) == 0 {
-		return -1
-	}
-	final := values[len(values)-1]
-	settled := -1.0
-	for i, v := range values {
-		if math.Abs(v-final) > tol {
-			settled = -1
-			continue
-		}
-		if settled < 0 {
-			settled = times[i]
-		}
-	}
-	return settled
-}
-
-// Overshoot returns the maximum excursion beyond the final value,
-// normalized by the total step size, in percent. A monotone response
-// returns 0.
-func Overshoot(values []float64) float64 {
-	if len(values) < 2 {
-		return 0
-	}
-	start, final := values[0], values[len(values)-1]
-	step := final - start
-	if step == 0 {
-		return 0
-	}
-	worst := 0.0
-	for _, v := range values {
-		var ex float64
-		if step > 0 {
-			ex = v - final
-		} else {
-			ex = final - v
-		}
-		if ex > worst {
-			worst = ex
-		}
-	}
-	return 100 * worst / math.Abs(step)
 }

@@ -108,39 +108,13 @@ func TestTHDInvariantToAmplitudeScale(t *testing.T) {
 	}
 }
 
-func TestMeanRMS(t *testing.T) {
-	s := []float64{1, -1, 1, -1}
-	if Mean(s) != 0 {
-		t.Errorf("Mean = %g, want 0", Mean(s))
-	}
-	if RMS(s) != 1 {
-		t.Errorf("RMS = %g, want 1", RMS(s))
-	}
-	if Mean(nil) != 0 || RMS(nil) != 0 {
-		t.Error("empty records should read 0")
-	}
-}
-
-func TestRMSOfSine(t *testing.T) {
-	s := synth(4096, 4, map[int]float64{1: 2}, map[int]float64{1: 0})
-	if got := RMS(s); math.Abs(got-2/math.Sqrt2) > 1e-3 {
-		t.Errorf("RMS = %g, want %g", got, 2/math.Sqrt2)
-	}
-}
-
 func TestMinMaxPeakToPeak(t *testing.T) {
 	s := []float64{0.5, -2, 3, 1}
-	if Max(s) != 3 || Min(s) != -2 {
-		t.Error("Min/Max wrong")
+	if Max(s) != 3 {
+		t.Error("Max wrong")
 	}
-	if PeakToPeak(s) != 5 {
-		t.Errorf("PeakToPeak = %g, want 5", PeakToPeak(s))
-	}
-	if PeakToPeak(nil) != 0 {
-		t.Error("empty PeakToPeak should be 0")
-	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Error("empty Max/Min should be ∓Inf")
+	if !math.IsInf(Max(nil), -1) {
+		t.Error("empty Max should be −Inf")
 	}
 }
 
@@ -148,49 +122,6 @@ func TestAccumulate(t *testing.T) {
 	s := []float64{1, 2, 3}
 	if got := Accumulate(s, 0.5); math.Abs(got-3) > 1e-12 {
 		t.Errorf("Accumulate = %g, want 3", got)
-	}
-}
-
-func TestResampleNearest(t *testing.T) {
-	times := []float64{0, 1, 2, 3, 4}
-	vals := []float64{10, 11, 12, 13, 14}
-	got := Resample(times, vals, []float64{0.4, 0.6, 2.0, 3.9, 99})
-	want := []float64{10, 11, 12, 14, 14}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Resample[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSettlingTime(t *testing.T) {
-	times := []float64{0, 1, 2, 3, 4, 5}
-	vals := []float64{0, 0.5, 0.9, 1.02, 0.99, 1.0}
-	if got := SettlingTime(times, vals, 0.05); got != 3 {
-		t.Errorf("settling = %g, want 3", got)
-	}
-	// Never settles within 0.001.
-	if got := SettlingTime(times, []float64{0, 2, 0, 2, 0, 1}, 0.001); got != 5 {
-		// only the final point is inside the band
-		t.Errorf("settling = %g, want 5 (final point)", got)
-	}
-	if SettlingTime(nil, nil, 0.1) != -1 {
-		t.Error("empty record should return -1")
-	}
-}
-
-func TestOvershoot(t *testing.T) {
-	// Rising step to 1.0 with a 1.2 peak: 20 % overshoot.
-	vals := []float64{0, 0.7, 1.2, 0.95, 1.0}
-	if got := Overshoot(vals); math.Abs(got-20) > 1e-9 {
-		t.Errorf("overshoot = %g %%, want 20", got)
-	}
-	// Falling step, monotone: 0 %.
-	if got := Overshoot([]float64{1, 0.6, 0.3, 0.1, 0}); got != 0 {
-		t.Errorf("monotone overshoot = %g, want 0", got)
-	}
-	if Overshoot([]float64{1}) != 0 || Overshoot([]float64{1, 1}) != 0 {
-		t.Error("degenerate records should be 0")
 	}
 }
 

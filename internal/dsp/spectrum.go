@@ -6,8 +6,9 @@ import (
 )
 
 // Spectrum metrics beyond plain THD, for richer mixed-signal return
-// values (SINAD/SFDR/ENOB are the standard dynamic ATE measurements a
-// production flow would add next to the paper's THD configuration).
+// values: SINAD, the return value of the extended configuration #6, is
+// the standard dynamic ATE measurement a production flow would add next
+// to the paper's THD configuration.
 
 // Spectrum holds the single-sided amplitude spectrum of a coherent
 // record: Amp[k] is the amplitude of the k-cycles-per-record bin.
@@ -56,54 +57,4 @@ func (sp *Spectrum) SINADdB() (float64, error) {
 		return math.Inf(1), nil
 	}
 	return 10 * math.Log10(sig*sig/noise), nil
-}
-
-// SFDRdB returns the spurious-free dynamic range in dB: fundamental over
-// the largest other non-DC bin.
-func (sp *Spectrum) SFDRdB() (float64, error) {
-	sig := sp.Amp[sp.Fundamental]
-	if sig <= 0 {
-		return 0, fmt.Errorf("dsp: zero fundamental")
-	}
-	worst := 0.0
-	for k, a := range sp.Amp {
-		if k == 0 || k == sp.Fundamental {
-			continue
-		}
-		if a > worst {
-			worst = a
-		}
-	}
-	if worst <= 0 {
-		return math.Inf(1), nil
-	}
-	return 20 * math.Log10(sig/worst), nil
-}
-
-// ENOB converts SINAD to effective bits via the standard
-// (SINAD − 1.76)/6.02 formula.
-func (sp *Spectrum) ENOB() (float64, error) {
-	sinad, err := sp.SINADdB()
-	if err != nil {
-		return 0, err
-	}
-	return (sinad - 1.76) / 6.02, nil
-}
-
-// THDPercentFromSpectrum recomputes THD from an analyzed spectrum using
-// the harmonics up to maxHarmonic, cross-checkable against THDPercent.
-func (sp *Spectrum) THDPercentFromSpectrum(maxHarmonic int) (float64, error) {
-	sig := sp.Amp[sp.Fundamental]
-	if sig <= 0 {
-		return 0, fmt.Errorf("dsp: zero fundamental")
-	}
-	sum := 0.0
-	for h := 2; h <= maxHarmonic; h++ {
-		k := h * sp.Fundamental
-		if k >= len(sp.Amp) {
-			break
-		}
-		sum += sp.Amp[k] * sp.Amp[k]
-	}
-	return 100 * math.Sqrt(sum) / sig, nil
 }

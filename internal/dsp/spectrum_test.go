@@ -64,58 +64,6 @@ func TestSINADKnownRatio(t *testing.T) {
 	}
 }
 
-func TestSFDRFindsWorstSpur(t *testing.T) {
-	s := synth(4096, 4, map[int]float64{1: 1, 2: 0.02, 7: 0.05},
-		map[int]float64{1: 0, 2: 0.3, 7: 0.9})
-	sp, err := AnalyzeSpectrum(s, 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfdr, err := sp.SFDRdB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 20 * math.Log10(1/0.05)
-	if math.Abs(sfdr-want) > 0.1 {
-		t.Errorf("SFDR = %g dB, want %g", sfdr, want)
-	}
-}
-
-func TestENOBPerfectSineIsLarge(t *testing.T) {
-	s := synth(4096, 4, map[int]float64{1: 1}, map[int]float64{1: 0})
-	sp, err := AnalyzeSpectrum(s, 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enob, err := sp.ENOB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(enob, 1) && enob < 20 {
-		t.Errorf("ENOB of a perfect sine = %g, want very large", enob)
-	}
-}
-
-func TestTHDFromSpectrumMatchesDirect(t *testing.T) {
-	s := synth(4096, 4, map[int]float64{1: 1, 2: 0.03, 3: 0.04},
-		map[int]float64{1: 0, 2: 1, 3: 2})
-	direct, err := THDPercent(s, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := AnalyzeSpectrum(s, 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSpec, err := sp.THDPercentFromSpectrum(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(direct-fromSpec) > 1e-6 {
-		t.Errorf("THD direct %g vs spectrum %g", direct, fromSpec)
-	}
-}
-
 func TestSpectrumZeroFundamentalErrors(t *testing.T) {
 	s := make([]float64, 256) // silence
 	sp, err := AnalyzeSpectrum(s, 4, 20)
@@ -124,11 +72,5 @@ func TestSpectrumZeroFundamentalErrors(t *testing.T) {
 	}
 	if _, err := sp.SINADdB(); err == nil {
 		t.Error("SINAD of silence accepted")
-	}
-	if _, err := sp.SFDRdB(); err == nil {
-		t.Error("SFDR of silence accepted")
-	}
-	if _, err := sp.THDPercentFromSpectrum(5); err == nil {
-		t.Error("THD of silence accepted")
 	}
 }

@@ -1,8 +1,8 @@
 // Package opt implements the derivative-free minimizers the paper's test
 // generator uses: Brent's method for single-parameter test configurations
 // and Powell's direction-set method (with Brent line searches) for
-// multi-parameter ones, plus golden-section search, exhaustive grid
-// search and Nelder–Mead for ablation studies.
+// multi-parameter ones, plus exhaustive grid search and Nelder–Mead for
+// ablation studies.
 //
 // All minimizers operate inside a rectangular parameter box, mirroring
 // the constraint values the paper attaches to every test parameter. They
@@ -150,41 +150,6 @@ func BrentObserved(f Scalar, a, b, tol float64, watch IterObserver) Result {
 		}
 	}
 	return Result{X: []float64{x}, F: fx, Evals: evals}
-}
-
-// GoldenSection minimizes f on [a, b] by pure golden-section search, kept
-// as the simplest robust reference for ablations.
-func GoldenSection(f Scalar, a, b, tol float64) Result {
-	if tol <= 0 {
-		tol = defaultTol
-	}
-	if a > b {
-		a, b = b, a
-	}
-	evals := 0
-	eval := func(x float64) float64 {
-		evals++
-		return f(x)
-	}
-	phi := 1 - goldenRatio // 0.618...
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := eval(c), eval(d)
-	for math.Abs(b-a) > tol*(math.Abs(a)+math.Abs(b))+1e-12 && evals < 200 {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = eval(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = eval(d)
-		}
-	}
-	if fc < fd {
-		return Result{X: []float64{c}, F: fc, Evals: evals}
-	}
-	return Result{X: []float64{d}, F: fd, Evals: evals}
 }
 
 // Box is a rectangular feasible region.

@@ -55,18 +55,6 @@ func TestBrentFindsMinimumOfRandomParabolas(t *testing.T) {
 	}
 }
 
-func TestGoldenSectionAgreesWithBrent(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) }
-	b := Brent(f, 0, 6, 1e-8)
-	g := GoldenSection(f, 0, 6, 1e-8)
-	if math.Abs(b.X[0]-math.Pi) > 1e-4 || math.Abs(g.X[0]-math.Pi) > 1e-3 {
-		t.Errorf("brent=%g golden=%g, want π", b.X[0], g.X[0])
-	}
-	if b.Evals >= g.Evals {
-		t.Logf("note: brent evals %d vs golden %d (brent usually cheaper)", b.Evals, g.Evals)
-	}
-}
-
 func TestBoxClampContains(t *testing.T) {
 	b := NewBox([]float64{0, -1}, []float64{1, 1})
 	x := b.Clamp([]float64{2, -3})

@@ -1,6 +1,7 @@
 // Package report renders experiment results for terminals and files:
 // aligned ASCII tables, tps-graph heat maps in the spirit of the paper's
-// greyscale contour figures, and CSV series for external plotting.
+// greyscale contour figures, and tps-graph grids as CSV for external
+// plotting.
 package report
 
 import (
@@ -135,35 +136,6 @@ func HeatMap(w io.Writer, s [][]float64, axis1, axis2 string) error {
 		axis1, axis2)
 	_, err := io.WriteString(w, legend)
 	return err
-}
-
-// CSV writes series as comma-separated values with a header row. All
-// columns must have equal length.
-func CSV(w io.Writer, headers []string, cols ...[]float64) error {
-	if len(headers) != len(cols) {
-		return fmt.Errorf("report: %d headers for %d columns", len(headers), len(cols))
-	}
-	n := 0
-	for i, c := range cols {
-		if i == 0 {
-			n = len(c)
-		} else if len(c) != n {
-			return fmt.Errorf("report: column %d length %d != %d", i, len(c), n)
-		}
-	}
-	if _, err := io.WriteString(w, strings.Join(headers, ",")+"\n"); err != nil {
-		return err
-	}
-	for r := 0; r < n; r++ {
-		cells := make([]string, len(cols))
-		for i, c := range cols {
-			cells[i] = fmt.Sprintf("%g", c[r])
-		}
-		if _, err := io.WriteString(w, strings.Join(cells, ",")+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // GridCSV writes a 2-D grid as CSV: first column is axis2, first row is

@@ -60,28 +60,6 @@ func TestHeatMapOrientation(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var b strings.Builder
-	err := CSV(&b, []string{"x", "y"}, []float64{1, 2}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "x,y\n1,3\n2,4\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	var b strings.Builder
-	if err := CSV(&b, []string{"x"}, []float64{1}, []float64{2}); err == nil {
-		t.Error("header/column mismatch accepted")
-	}
-	if err := CSV(&b, []string{"x", "y"}, []float64{1}, []float64{2, 3}); err == nil {
-		t.Error("ragged columns accepted")
-	}
-}
-
 func TestGridCSV(t *testing.T) {
 	var b strings.Builder
 	err := GridCSV(&b, []float64{10, 20}, []float64{1, 2}, [][]float64{{0.1, 0.2}, {0.3, 0.4}})

@@ -209,19 +209,6 @@ func (c *coordinator) register(hello api.WorkerHello) api.WorkerWelcome {
 	}
 }
 
-// touch refreshes a worker's liveness; reports false for unknown
-// workers (the 404 that tells a worker to re-register after a
-// coordinator restart).
-func (c *coordinator) touch(workerID string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.workers[workerID]
-	if ok {
-		w.lastSeen = time.Now()
-	}
-	return ok
-}
-
 // enqueue adds a job's shards to the queue.
 func (c *coordinator) enqueue(shards []*shard) {
 	c.mu.Lock()

@@ -771,9 +771,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Store exposes the job store (tests and the daemon's startup banner).
 func (s *Server) Store() *ckpt.Store { return s.store }
 

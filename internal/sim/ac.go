@@ -70,15 +70,10 @@ type ACSweep struct {
 
 // PrepareAC assembles the reusable base for a small-signal sweep driven
 // by the named independent source with unit magnitude (1 V or 1 A).
-// A nil input prepares an undriven base (zero RHS), used by the noise
-// analysis which injects its own unit currents.
 func (e *Engine) PrepareAC(xop []float64, input string) (*ACSweep, error) {
-	var src device.Device
-	if input != "" {
-		src = e.ckt.Device(input)
-		if src == nil {
-			return nil, fmt.Errorf("sim: AC input %q not found", input)
-		}
+	src := e.ckt.Device(input)
+	if src == nil {
+		return nil, fmt.Errorf("sim: AC input %q not found", input)
 	}
 	n := e.layout.Dim()
 	sw := &ACSweep{
@@ -98,16 +93,14 @@ func (e *Engine) PrepareAC(xop []float64, input string) (*ACSweep, error) {
 	for _, d := range sw.split {
 		d.StampACBase(sw.sys, sw.xop)
 	}
-	if src != nil {
-		switch s := src.(type) {
-		case *device.VSource:
-			sw.sys.AddRHS(s.BranchBase(), 1)
-		case *device.ISource:
-			terms := s.Terminals()
-			sw.sys.StampCurrent(terms[1], terms[0], 1)
-		default:
-			return nil, fmt.Errorf("sim: AC input %q is not an independent source", input)
-		}
+	switch s := src.(type) {
+	case *device.VSource:
+		sw.sys.AddRHS(s.BranchBase(), 1)
+	case *device.ISource:
+		terms := s.Terminals()
+		sw.sys.StampCurrent(terms[1], terms[0], 1)
+	default:
+		return nil, fmt.Errorf("sim: AC input %q is not an independent source", input)
 	}
 	sw.sys.SaveMatrix(sw.baseA)
 	sw.sys.SaveRHS(sw.baseB)

@@ -87,9 +87,9 @@ type baseKey struct {
 	integ device.Integration
 }
 
-// numBaseSlots is how many linear snapshots an engine keeps. Two covers
-// the adaptive stepper's step-doubling pattern, which alternates between
-// dt and dt/2 on every trial step.
+// numBaseSlots is how many linear snapshots an engine keeps, replaced
+// round-robin, so a transient that alternates between two step
+// configurations keeps both.
 const numBaseSlots = 2
 
 // Engine owns the scratch state for analyses on one compiled circuit.
@@ -111,9 +111,9 @@ type Engine struct {
 	sys    *mna.System
 	opts   Options
 
-	// Split-stamp classification. A device may appear in several lists
-	// (a MOSFET with gate caps is a nonlinear static stamper and a
-	// dynamic).
+	// Split-stamp classification, each list in device order. A device
+	// may appear in two lists (a MOSFET with gate caps is a nonlinear
+	// static stamper and a dynamic).
 	linears    []device.LinearStamper // x-independent static stamps
 	nonlinears []device.Stamper       // re-stamped every iteration
 	// plans holds the precompiled stamps of nonlinears, one slab in the
@@ -121,7 +121,7 @@ type Engine struct {
 	plans []device.StampPlan
 	// dynamics lists the devices with state; their companion G goes into
 	// the base.
-	dynamics []device.SplitDynamic
+	dynamics []device.Dynamic
 	stateOff []int // parallel to dynamics
 	stateLen int
 
@@ -167,26 +167,20 @@ func New(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 		e.baseA[i] = make([]float64, n*n)
 	}
 	for _, d := range ckt.Devices() {
-		if st, ok := d.(device.Stamper); ok {
-			if ls, ok := d.(device.LinearStamper); ok {
-				e.linears = append(e.linears, ls)
-			} else {
-				e.nonlinears = append(e.nonlinears, st)
+		switch st := d.(type) {
+		case device.LinearStamper:
+			e.linears = append(e.linears, st)
+		case device.Stamper:
+			e.nonlinears = append(e.nonlinears, st)
+		}
+		// A dynamic without states has nothing to stamp or commit.
+		if dy, ok := d.(device.Dynamic); ok {
+			if k := dy.NumStates(); k > 0 {
+				e.dynamics = append(e.dynamics, dy)
+				e.stateOff = append(e.stateOff, e.stateLen)
+				e.stateLen += k
 			}
 		}
-		if _, ok := d.(device.Dynamic); !ok {
-			continue
-		}
-		dy, ok := d.(device.SplitDynamic)
-		if !ok {
-			return nil, fmt.Errorf("sim: dynamic device %s does not implement device.SplitDynamic", d.Name())
-		}
-		if dy.NumStates() == 0 {
-			continue // nothing to stamp or commit
-		}
-		e.dynamics = append(e.dynamics, dy)
-		e.stateOff = append(e.stateOff, e.stateLen)
-		e.stateLen += dy.NumStates()
 	}
 	e.plans = make([]device.StampPlan, len(e.nonlinears))
 	for i, st := range e.nonlinears {

@@ -3,12 +3,10 @@ package sim
 import (
 	"math"
 	"math/cmplx"
-	"strings"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
-	"repro/internal/mna"
 	"repro/internal/wave"
 )
 
@@ -447,27 +445,6 @@ func TestBranchCurrentErrors(t *testing.T) {
 	}
 	if _, err := e.BranchCurrent(x, "zzz"); err == nil {
 		t.Error("unknown device accepted")
-	}
-}
-
-// unsplitDynamic is a dynamic device without the SplitDynamic
-// refinement: it wraps a plain device and stamps nothing.
-type unsplitDynamic struct{ device.Device }
-
-func (unsplitDynamic) NumStates() int                                                  { return 1 }
-func (unsplitDynamic) InitState([]float64, []float64)                                  {}
-func (unsplitDynamic) StampDynamic(*mna.System, []float64, []float64, *device.Context) {}
-func (unsplitDynamic) Commit([]float64, []float64, *device.Context)                    {}
-
-// TestNewRejectsUnsplitDynamic: every dynamic device must split its
-// companion stamp, and New names the one that does not.
-func TestNewRejectsUnsplitDynamic(t *testing.T) {
-	c := circuit.New("unsplit")
-	c.Add(device.NewDCVSource("V1", "in", "0", 1))
-	c.Add(device.NewResistor("R1", "in", "0", 1e3))
-	c.Add(unsplitDynamic{device.NewResistor("X1", "in", "0", 1e3)})
-	if _, err := New(c, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "X1") {
-		t.Fatalf("New error %v, want one naming X1", err)
 	}
 }
 

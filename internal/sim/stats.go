@@ -96,7 +96,7 @@ type Probe struct {
 // hook (nil: no hook).
 func NewProbe(hook TraceHook) *Probe {
 	p := &Probe{hook: hook, wall: make(map[string]*hist.Histogram), iters: hist.New()}
-	for _, kind := range []string{"op", "dc-sweep", "ac", "noise", "transient", "transient-adaptive"} {
+	for _, kind := range []string{"op", "dc-sweep", "ac", "transient"} {
 		p.wall[kind] = hist.New()
 	}
 	return p
@@ -127,10 +127,10 @@ func (p *Probe) Counters() Counters {
 
 // Histograms snapshots the non-empty histograms, sorted by name:
 // "sim.<kind>" holds the wall times (nanoseconds) of one analysis kind
-// ("sim.op", "sim.dc-sweep", "sim.ac", "sim.noise", "sim.transient",
-// "sim.transient-adaptive"), and "sim.newton_iters" the Newton
-// iterations of every analysis. Each analysis records exactly one entry
-// into its kind's histogram and one into "sim.newton_iters".
+// ("sim.op", "sim.dc-sweep", "sim.ac", "sim.transient"), and
+// "sim.newton_iters" the Newton iterations of every analysis. Each
+// analysis records exactly one entry into its kind's histogram and one
+// into "sim.newton_iters".
 func (p *Probe) Histograms() []hist.NamedSnapshot {
 	if p == nil {
 		return nil

@@ -3,11 +3,11 @@ package sim
 import "time"
 
 // TraceHook receives one notification per completed analysis: the
-// analysis kind ("op", "dc-sweep", "ac", "noise", "transient",
-// "transient-adaptive"), its wall time, and the delta of the engine's
-// solver counters over the analysis — the kernel-level answer to "what
-// did this analysis cost". The observability layer passes a hook to
-// NewProbe that turns these into retrospective journal spans.
+// analysis kind ("op", "dc-sweep", "ac", "transient"), its wall time,
+// and the delta of the engine's solver counters over the analysis — the
+// kernel-level answer to "what did this analysis cost". The
+// observability layer passes a hook to NewProbe that turns these into
+// retrospective journal spans.
 //
 // Hooks must be safe for concurrent use: engines on different goroutines
 // sharing one probe invoke the hook concurrently.

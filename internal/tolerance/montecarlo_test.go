@@ -8,7 +8,27 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/macros"
+	"repro/internal/sim"
+	"repro/internal/wave"
 )
+
+// dcVoutRunner measures V(Vout) at a fixed DC input, the simplest
+// configuration-like measurement for tolerance tests.
+func dcVoutRunner() func(*circuit.Circuit) ([]float64, error) {
+	return func(ck *circuit.Circuit) ([]float64, error) {
+		cc := ck.Clone()
+		macros.SetInputWave(cc, wave.DC(20e-6))
+		e, err := sim.New(cc, sim.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+		x, err := e.OperatingPoint()
+		if err != nil {
+			return nil, err
+		}
+		return []float64{e.Voltage(x, macros.NodeVout)}, nil
+	}
+}
 
 func TestSpreadSampleBounded(t *testing.T) {
 	sp := DefaultSpread()

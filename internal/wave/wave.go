@@ -1,6 +1,6 @@
 // Package wave defines the stimulus waveforms that test configurations
 // attach to controlled nodes: DC levels, sine waves, slew-limited steps,
-// pulses, piecewise-linear ramps and exponential edges.
+// pulses and piecewise-linear ramps.
 //
 // A Waveform is a pure function of time; independent sources in the
 // device package evaluate it at each operating point or time step. The
@@ -36,6 +36,7 @@ func (d DC) Value(float64) float64 { return float64(d) }
 // DC implements Waveform.
 func (d DC) DC() float64 { return float64(d) }
 
+// String implements Waveform.
 func (d DC) String() string { return fmt.Sprintf("dc(%.6g)", float64(d)) }
 
 // Sine is offset + amplitude·sin(2πf·t + phase).
@@ -56,6 +57,7 @@ func (s Sine) Value(t float64) float64 {
 // where Iin,dc sets the bias and the 5 µA sine rides on top.
 func (s Sine) DC() float64 { return s.Offset }
 
+// String implements Waveform.
 func (s Sine) String() string {
 	return fmt.Sprintf("sine(dc=%.6g, amp=%.6g, f=%.6g)", s.Offset, s.Amplitude, s.Freq)
 }
@@ -85,6 +87,7 @@ func (s Step) Value(t float64) float64 {
 // DC implements Waveform: a transient starts from the pre-step level.
 func (s Step) DC() float64 { return s.Base }
 
+// String implements Waveform.
 func (s Step) String() string {
 	return fmt.Sprintf("step(base=%.6g, elev=%.6g, t0=%.3g, rise=%.3g)", s.Base, s.Elev, s.Delay, s.Rise)
 }
@@ -129,6 +132,7 @@ func (p Pulse) Value(t float64) float64 {
 // DC implements Waveform.
 func (p Pulse) DC() float64 { return p.Low }
 
+// String implements Waveform.
 func (p Pulse) String() string {
 	return fmt.Sprintf("pulse(lo=%.6g, hi=%.6g, d=%.3g, tr=%.3g, w=%.3g, tf=%.3g, per=%.3g)",
 		p.Low, p.High, p.Delay, p.Rise, p.Width, p.Fall, p.Period)
@@ -182,6 +186,7 @@ func (p *PWL) DC() float64 {
 	return p.points[0].V
 }
 
+// String implements Waveform.
 func (p *PWL) String() string {
 	var b strings.Builder
 	b.WriteString("pwl(")
@@ -193,30 +198,4 @@ func (p *PWL) String() string {
 	}
 	b.WriteString(")")
 	return b.String()
-}
-
-// Exp is a single exponential transition from Start to End beginning at
-// Delay with time constant Tau.
-type Exp struct {
-	Start, End float64
-	Delay      float64
-	Tau        float64
-}
-
-// Value implements Waveform.
-func (e Exp) Value(t float64) float64 {
-	if t <= e.Delay || e.Tau <= 0 {
-		if t > e.Delay {
-			return e.End
-		}
-		return e.Start
-	}
-	return e.End + (e.Start-e.End)*math.Exp(-(t-e.Delay)/e.Tau)
-}
-
-// DC implements Waveform.
-func (e Exp) DC() float64 { return e.Start }
-
-func (e Exp) String() string {
-	return fmt.Sprintf("exp(%.6g->%.6g, d=%.3g, tau=%.3g)", e.Start, e.End, e.Delay, e.Tau)
 }

@@ -136,29 +136,9 @@ func TestPWLEmpty(t *testing.T) {
 	}
 }
 
-func TestExpTransition(t *testing.T) {
-	e := Exp{Start: 0, End: 1, Delay: 0, Tau: 1}
-	if e.Value(0) != 0 {
-		t.Error("Exp should start at Start")
-	}
-	if got := e.Value(1); math.Abs(got-(1-math.Exp(-1))) > 1e-12 {
-		t.Errorf("Value(tau) = %g, want 1-1/e", got)
-	}
-	if got := e.Value(100); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Value(inf) = %g, want End", got)
-	}
-}
-
-func TestExpZeroTauIsStep(t *testing.T) {
-	e := Exp{Start: 2, End: 5, Delay: 1, Tau: 0}
-	if e.Value(0.5) != 2 || e.Value(1.5) != 5 {
-		t.Error("zero-tau Exp should behave as an ideal step")
-	}
-}
-
 func TestStringsNonEmpty(t *testing.T) {
 	ws := []Waveform{
-		DC(1), Sine{}, Step{}, Pulse{}, NewPWL(Point{0, 1}), Exp{},
+		DC(1), Sine{}, Step{}, Pulse{}, NewPWL(Point{0, 1}),
 	}
 	for _, w := range ws {
 		if w.String() == "" {
