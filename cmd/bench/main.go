@@ -432,6 +432,8 @@ func impactSearchWorkload() workload {
 // Its pre-split baseline was measured with this body (1 s benchtime,
 // GOMAXPROCS=1); the same tree timed with the old body, which repeated
 // GenerateAll on one session, within 11 % of the number recorded for it.
+// One worker, as recorded: with more, pooled evaluators come back in
+// scheduling order, and the kernel counters per op vary between runs.
 func coverageDCWorkload() workload {
 	return workload{
 		name: "coverage_dc",
@@ -440,6 +442,7 @@ func coverageDCWorkload() workload {
 		fn: func(b *testing.B) sim.Counters {
 			scfg := core.DefaultConfig()
 			scfg.BoxMode = core.BoxSeed
+			scfg.Workers = 1
 			faults := []fault.Fault{
 				fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3),
 				fault.NewBridge(macros.NodeVref, macros.NodeIin, 10e3),

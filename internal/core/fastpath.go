@@ -25,10 +25,9 @@ import (
 // bit-identical to a fresh engine, on linear and nonlinear macros alike.
 //
 // Eligibility is conservative: the session must not disable the path,
-// the fault must name its impact resistor (fault.Retargetable), and the
-// configuration must support retained evaluation. Any construction
-// failure silently yields the throwaway path — the fast path is an
-// optimization, never a semantic fork.
+// and the fault must name its impact resistor (fault.Retargetable). Any
+// construction failure silently yields the throwaway path — the fast
+// path is an optimization, never a semantic fork.
 
 // ladderMargin is the decision margin of the warm-start impact ladder: a
 // warm (approximate) sensitivity within this distance of a decision
@@ -69,15 +68,11 @@ func (s *Session) newFaultEval(f fault.Fault, ci int) *faultEval {
 	if !ok {
 		return nil
 	}
-	c := s.configs[ci]
-	if !c.CanPrepare() {
-		return nil
-	}
 	fc, err := rf.Insert(s.golden)
 	if err != nil {
 		return nil
 	}
-	ev, err := c.Prepare(fc, s.simOpts)
+	ev, err := s.configs[ci].Prepare(fc, s.simOpts)
 	if err != nil {
 		return nil
 	}

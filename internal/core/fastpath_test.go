@@ -181,19 +181,33 @@ func checkFastPathBitIdentical(t *testing.T, fastS, slowS *Session, faults []fau
 // fast-path evaluation is replayed through the throwaway path; a run
 // completing without error is the machine-checked statement that the
 // two never differ in a single bit. It covers the DC configurations on
-// the IV-converter and on the linear macro, and a transient
-// configuration (#4) on the IV-converter.
+// the IV-converter and on the linear macro, and on the IV-converter a
+// step configuration (#4), #3 and #6 sharing one sine capture, a
+// description of each stimulus kind and a custom configuration.
 func TestCrossCheckClean(t *testing.T) {
-	iv := testcfg.IVConfigs()
+	iv := testcfg.ExtendedIVConfigs()
+	dsl := func(src string) []*testcfg.Config {
+		c, err := testcfg.ParseConfigString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*testcfg.Config{c}
+	}
+	bridge := fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)
 	for _, tc := range []struct {
 		name    string
 		golden  *circuit.Circuit
 		configs []*testcfg.Config
 		f       fault.Fault
 	}{
-		{"iv-converter", macros.IVConverter(), iv[:2], fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)},
+		{"iv-converter", macros.IVConverter(), iv[:2], bridge},
 		{"linear", linearMacro(), iv[:2], fault.NewBridge(macros.NodeVdd, macros.NodeVout, 20e3)},
-		{"iv-converter transient", macros.IVConverter(), iv[3:4], fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)},
+		{"iv-converter transient", macros.IVConverter(), iv[3:4], bridge},
+		{"thd and sinad", macros.IVConverter(), []*testcfg.Config{iv[2], iv[5]}, bridge},
+		{"dsl dc", macros.IVConverter(), dsl(dslDC), bridge},
+		{"dsl sine", macros.IVConverter(), dsl(dslSine), bridge},
+		{"dsl step", macros.IVConverter(), dsl(dslStep), bridge},
+		{"custom", macros.IVConverter(), chaosConfigs(nil)[:1], fault.NewBridge(macros.NodeIin, macros.NodeVout, 1e3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -212,6 +226,42 @@ func TestCrossCheckClean(t *testing.T) {
 				t.Errorf("%s verdict = %s, want detected", tc.f.ID(), sol.Verdict())
 			}
 		})
+	}
+}
+
+// One description per stimulus kind: Out1 and Vmid, other amplitudes
+// and timings, so the compiled steps run with non-default arguments.
+const (
+	dslDC   = "config 7 dsl-dc\nstimulus dc(a)\nparam a A 0 100u seed 20u\nreturn vdc(Out1) accuracy 1m\n"
+	dslSine = "config 8 dsl-sine\nstimulus sine(a, 3u, f)\nparam f Hz 1k 100k seed 20k\nparam a A 0 40u seed 15u\nreturn thd(Vout) accuracy 0.02\n"
+	dslStep = "config 9 dsl-step\nstimulus step(b, e, 20n, 5n)\nparam b A 0 40u seed 5u\nparam e A 0 40u seed 20u\nreturn sum(Vmid) accuracy 7.5n\n"
+)
+
+// TestDSLSessionRetainsEvaluators: description-language configurations
+// run on retained faulty evaluators like the built-ins, so a session
+// whose only configurations are descriptions credits the factorizations
+// they avoid.
+func TestDSLSessionRetainsEvaluators(t *testing.T) {
+	var cfgs []*testcfg.Config
+	for _, src := range []string{dslDC, dslStep} {
+		c, err := testcfg.ParseConfigString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, c)
+	}
+	cfg := DefaultConfig()
+	cfg.BoxMode = BoxSeed
+	cfg.Workers = 1
+	s, err := NewSession(macros.IVConverter(), cfgs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Generate(fault.NewBridge(macros.NodeIin, macros.NodeVout, 10e3)); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().Solver.FaultyFactorAvoided; n == 0 {
+		t.Error("FaultyFactorAvoided = 0: the descriptions ran no retained evaluator")
 	}
 }
 

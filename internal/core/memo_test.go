@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -313,5 +314,27 @@ func TestMemoServesLinearMacro(t *testing.T) {
 			t.Errorf("%s: a repeated exact evaluation ran %d faulty simulations and %d memo hits, want 1 and 1",
 				tc.name, runs, served)
 		}
+	}
+}
+
+// TestExtendedGroups: SINAD (#6) reduces #3's sine capture, so the six
+// extended configurations form three simulation groups, and every
+// description stands alone.
+func TestExtendedGroups(t *testing.T) {
+	dc, err := testcfg.ParseConfigString(dslDC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, _ := groupConfigs(append(testcfg.ExtendedIVConfigs(), dc))
+	var ids [][]int
+	for _, g := range groups {
+		var m []int
+		for _, c := range g {
+			m = append(m, c.ID)
+		}
+		ids = append(ids, m)
+	}
+	if got, want := fmt.Sprint(ids), "[[1 2] [3 6] [4 5] [7]]"; got != want {
+		t.Errorf("simulation groups %s, want %s", got, want)
 	}
 }

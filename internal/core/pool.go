@@ -77,14 +77,10 @@ func (p *evalPool) dropCorners() {
 
 // runPooled runs the analysis of group g for cfgs (members of g) on
 // circuit id, the golden macro or a corner of it, on a pooled evaluator.
-// Configurations without a prepared evaluator run on a fresh copy of the
-// circuit instead. Under Config.CrossCheck every pooled run is
-// recomputed on a freshly built circuit and compared bit for bit; a
-// difference is returned as an error wrapping errPoolMismatch.
+// Under Config.CrossCheck every pooled run is recomputed on a freshly
+// built circuit and compared bit for bit; a difference is returned as an
+// error wrapping errPoolMismatch.
 func (s *Session) runPooled(id circuitID, g int, cfgs []*testcfg.Config, T []float64) ([][]float64, error) {
-	if !cfgs[0].CanPrepare() {
-		return s.simulate(id, cfgs, T)
-	}
 	k := poolKey{id: id, g: g}
 	ev := s.pool.get(k)
 	if ev == nil {

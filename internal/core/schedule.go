@@ -16,25 +16,14 @@ import (
 // time to first detection on faulty parts.
 
 // ApplicationTime estimates how long one application of configuration
-// t.ConfigIdx takes on ATE: the stimulus/measure window plus a fixed
-// setup overhead per test. DC measurements settle in ~1 ms; the THD
-// configuration needs its warm-up plus measured periods at the test's
-// frequency; the step configurations take their 7.5 µs window.
+// t.ConfigIdx takes on ATE: the stimulus/measure window its analysis
+// reports (testcfg.Config.Window) plus a fixed setup overhead per test.
+// DC measurements settle in ~1 ms; a sine capture needs its warm-up
+// plus measured periods at the test's frequency; a step response takes
+// its 7.5 µs window.
 func (s *Session) ApplicationTime(t Test) time.Duration {
 	const setup = 500 * time.Microsecond
-	c := s.configs[t.ConfigIdx]
-	switch c.Name {
-	case "thd":
-		freq := 1e3
-		if len(t.Params) > 1 && t.Params[1] > 0 {
-			freq = t.Params[1]
-		}
-		return setup + time.Duration(5/freq*float64(time.Second))
-	case "step-integral", "step-peak":
-		return setup + 7500*time.Nanosecond
-	default: // DC configurations
-		return setup + time.Millisecond
-	}
+	return setup + s.configs[t.ConfigIdx].Window(t.Params)
 }
 
 // SetTime sums the application time over a test set.

@@ -19,6 +19,39 @@ func TestApplicationTimePerConfig(t *testing.T) {
 	if dc < time.Millisecond || dc > 5*time.Millisecond {
 		t.Errorf("DC application time = %v, want ~1.5 ms", dc)
 	}
+
+	// The price follows the simulate step, not the name: #6 captures the
+	// same five sine periods as #3, a description's sine capture too
+	// (its frequency is parameter 0), and a description's step response
+	// takes the 7.5 µs window.
+	var cfgs []*testcfg.Config
+	for _, src := range []string{dslSine, dslStep} {
+		c, err := testcfg.ParseConfigString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, c)
+	}
+	ext := testcfg.ExtendedIVConfigs()
+	cfg := DefaultConfig()
+	cfg.BoxMode = BoxSeed
+	s, err := NewSession(macros.IVConverter(), append([]*testcfg.Config{ext[2], ext[5]}, cfgs...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thd := s.ApplicationTime(Test{ConfigIdx: 0, Params: []float64{20e-6, 1e3}})
+	if thd < 5*time.Millisecond {
+		t.Errorf("1 kHz THD time = %v, want >= 5 ms", thd)
+	}
+	if sinad := s.ApplicationTime(Test{ConfigIdx: 1, Params: []float64{20e-6, 1e3}}); sinad != thd {
+		t.Errorf("1 kHz SINAD time = %v, want the THD capture's %v", sinad, thd)
+	}
+	if sine := s.ApplicationTime(Test{ConfigIdx: 2, Params: []float64{1e3, 15e-6}}); sine != thd {
+		t.Errorf("1 kHz description sine time = %v, want %v", sine, thd)
+	}
+	if step := s.ApplicationTime(Test{ConfigIdx: 3, Params: []float64{5e-6, 20e-6}}); step != 507500*time.Nanosecond {
+		t.Errorf("description step time = %v, want 507.5µs", step)
+	}
 }
 
 func TestApplicationTimeTHDScalesWithFrequency(t *testing.T) {

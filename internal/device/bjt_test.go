@@ -71,9 +71,9 @@ func TestBJTStampConsistency(t *testing.T) {
 		} {
 			lhs := 0.0
 			for j := 0; j < 3; j++ {
-				lhs += s.At(row, j) * x[j]
+				lhs += entry(s, row, j) * x[j]
 			}
-			lhs -= s.RHS(row)
+			lhs -= rhs(s, row)
 			tol := 1e-9 * math.Max(1, math.Abs(want))
 			if math.Abs(lhs-want) > tol {
 				return false

@@ -36,7 +36,7 @@ func TestDefaultModelHasNoCaps(t *testing.T) {
 	stampCompanion(s, m, state, trCtx(1e-9, 1e-9, BackwardEuler))
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if s.At(i, j) != 0 {
+			if entry(s, i, j) != 0 {
 				t.Fatal("capless MOSFET stamped dynamics")
 			}
 		}
@@ -80,10 +80,10 @@ func TestGateCapACAdmittance(t *testing.T) {
 	// Off transistor: gm = gds = 0, only the caps stamp.
 	stampAC(m, s, []float64{0, 0, 0}, omega)
 	wantGS := omega * m.Cgs()
-	if got := imag(s.At(1, 1)); math.Abs(got-(omega*m.Cgs()+omega*m.Cgd())) > 1e-12 {
+	if got := imag(centry(s, 3, 1, 1)); math.Abs(got-(omega*m.Cgs()+omega*m.Cgd())) > 1e-12 {
 		t.Errorf("gate self-admittance = %g, want %g", got, omega*(m.Cgs()+m.Cgd()))
 	}
-	if got := imag(s.At(1, 2)); math.Abs(got+wantGS) > 1e-12 {
+	if got := imag(centry(s, 3, 1, 2)); math.Abs(got+wantGS) > 1e-12 {
 		t.Errorf("gate-source coupling = %g, want %g", got, -wantGS)
 	}
 }

@@ -12,7 +12,6 @@ type ComplexSystem struct {
 	b    []complex128
 	lu   []complex128
 	perm []int
-	x    []complex128
 	dinv []complex128 // reciprocal pivots of the factorization
 }
 
@@ -27,13 +26,9 @@ func NewComplexSystem(n int) *ComplexSystem {
 		b:    make([]complex128, n),
 		lu:   make([]complex128, n*n),
 		perm: make([]int, n),
-		x:    make([]complex128, n),
 		dinv: make([]complex128, n),
 	}
 }
-
-// Dim returns the system dimension.
-func (s *ComplexSystem) Dim() int { return s.n }
 
 // Clear zeroes the matrix and right-hand side.
 func (s *ComplexSystem) Clear() {
@@ -55,28 +50,20 @@ func (s *ComplexSystem) ClearRHS() {
 	}
 }
 
-// SaveMatrix copies the stamped matrix into dst (length Dim()·Dim()).
+// SaveMatrix copies the stamped matrix into dst (length n·n).
 // With SetMatrix it implements the cached-base fast path of AC sweeps:
 // the frequency-independent stamps are assembled once and restored by
 // copy at every frequency point, which then only adds the jω terms.
 func (s *ComplexSystem) SaveMatrix(dst []complex128) { copy(dst, s.a) }
 
-// SetMatrix overwrites the matrix from src (length Dim()·Dim()).
+// SetMatrix overwrites the matrix from src (length n·n).
 func (s *ComplexSystem) SetMatrix(src []complex128) { copy(s.a, src) }
 
-// SaveRHS copies the right-hand side into dst (length Dim()).
+// SaveRHS copies the right-hand side into dst (length n).
 func (s *ComplexSystem) SaveRHS(dst []complex128) { copy(dst, s.b) }
 
-// SetRHS overwrites the right-hand side from src (length Dim()).
+// SetRHS overwrites the right-hand side from src (length n).
 func (s *ComplexSystem) SetRHS(src []complex128) { copy(s.b, src) }
-
-// At returns matrix entry (i, j); ground indices (-1) read as 0.
-func (s *ComplexSystem) At(i, j int) complex128 {
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return s.a[i*s.n+j]
-}
 
 // Add adds v to matrix entry (i, j); either index may be -1 (ground).
 func (s *ComplexSystem) Add(i, j int, v complex128) {
@@ -109,16 +96,6 @@ func (s *ComplexSystem) StampCurrent(a, b int, cur complex128) {
 	s.AddRHS(b, cur)
 }
 
-// StampVoltageSource stamps an ideal phasor voltage source with branch
-// unknown br: V(plus) − V(minus) = v.
-func (s *ComplexSystem) StampVoltageSource(br, plus, minus int, v complex128) {
-	s.Add(plus, br, 1)
-	s.Add(minus, br, -1)
-	s.Add(br, plus, 1)
-	s.Add(br, minus, -1)
-	s.AddRHS(br, v)
-}
-
 // StampVCCS stamps a voltage-controlled current source with transadmittance g.
 func (s *ComplexSystem) StampVCCS(p, m, cp, cm int, g complex128) {
 	s.Add(p, cp, g)
@@ -135,21 +112,6 @@ func (s *ComplexSystem) StampVCCS(p, m, cp, cm int, g complex128) {
 func abs2(z complex128) float64 {
 	re, im := real(z), imag(z)
 	return re*re + im*im
-}
-
-// Factor computes the LU factorization with partial pivoting. The stamped
-// matrix is preserved in a, the factorization lives in the lu workspace.
-func (s *ComplexSystem) Factor() error {
-	copy(s.lu, s.a)
-	return s.factor()
-}
-
-// FactorInPlace factors destructively: the matrix buffer becomes the LU
-// workspace without the defensive copy. The stamps are lost; callers
-// restore from a snapshot (or re-stamp) before the next solve.
-func (s *ComplexSystem) FactorInPlace() error {
-	s.a, s.lu = s.lu, s.a
-	return s.factor()
 }
 
 func (s *ComplexSystem) factor() error {
@@ -203,14 +165,7 @@ func (s *ComplexSystem) factor() error {
 	return nil
 }
 
-// Solve solves the factored system for the stamped right-hand side. The
-// returned slice is reused by subsequent calls.
-func (s *ComplexSystem) Solve() []complex128 {
-	s.SolveInto(s.x)
-	return s.x
-}
-
-// SolveInto solves the factored system into dst (length Dim()) without
+// SolveInto solves the factored system into dst (length n) without
 // allocating; the permutation is applied while copying the RHS. dst must
 // not alias the system's RHS buffer.
 func (s *ComplexSystem) SolveInto(dst []complex128) {
@@ -237,10 +192,13 @@ func (s *ComplexSystem) SolveInto(dst []complex128) {
 	}
 }
 
-// FactorSolveInto factors destructively (see FactorInPlace) and solves
-// into dst without allocating.
+// FactorSolveInto factors and solves into dst without allocating. It
+// is destructive: the matrix buffer becomes the LU workspace, so the
+// stamps are lost; callers restore from a snapshot (or re-stamp) before
+// the next solve.
 func (s *ComplexSystem) FactorSolveInto(dst []complex128) error {
-	if err := s.FactorInPlace(); err != nil {
+	s.a, s.lu = s.lu, s.a
+	if err := s.factor(); err != nil {
 		return err
 	}
 	s.SolveInto(dst)

@@ -24,246 +24,8 @@ import (
 // voltage-source loop, ...).
 var ErrSingular = errors.New("mna: singular matrix")
 
-// System is a dense real linear system A·x = b of dimension n.
-//
-// Row/column index 0 corresponds to the first non-ground unknown; the
-// ground node is eliminated by convention. Stamping helpers accept the
-// value -1 for "ground" and silently drop contributions to that row or
-// column, so device code can stamp without special-casing ground.
-type System struct {
-	n    int
-	a    []float64 // row-major n×n
-	b    []float64
-	lu   []float64 // factorization workspace
-	perm []int     // perm[k] is the physical row of pivot k (luFactor)
-	x    []float64
-	prev []float64 // matrix bits behind the current factorization
-	dinv []float64 // reciprocal pivots of the factorization
-	luOK bool      // lu/perm correspond to prev
-}
-
-// NewSystem returns a zeroed n-dimensional system.
-func NewSystem(n int) *System {
-	if n < 0 {
-		panic(fmt.Sprintf("mna: negative dimension %d", n))
-	}
-	return &System{
-		n:    n,
-		a:    make([]float64, n*n),
-		b:    make([]float64, n),
-		lu:   make([]float64, n*n),
-		perm: make([]int, n),
-		x:    make([]float64, n),
-		prev: make([]float64, n*n),
-		dinv: make([]float64, n),
-	}
-}
-
-// Dim returns the system dimension.
-func (s *System) Dim() int { return s.n }
-
-// Clear zeroes the matrix and right-hand side so the system can be
-// re-stamped for the next Newton iteration or time step.
-func (s *System) Clear() {
-	s.ClearMatrix()
-	s.ClearRHS()
-}
-
-// ClearMatrix zeroes the matrix only.
-func (s *System) ClearMatrix() {
-	for i := range s.a {
-		s.a[i] = 0
-	}
-}
-
-// ClearRHS zeroes the right-hand side only.
-func (s *System) ClearRHS() {
-	for i := range s.b {
-		s.b[i] = 0
-	}
-}
-
-// SaveMatrix copies the stamped matrix into dst, which must have length
-// Dim()·Dim(). Together with SetMatrix it implements the linear-snapshot
-// fast path: stamp the x-independent part once, save it, and restore it
-// by copy before each Newton iteration's nonlinear delta.
-func (s *System) SaveMatrix(dst []float64) { copy(dst, s.a) }
-
-// SetMatrix overwrites the matrix from src (length Dim()·Dim()).
-func (s *System) SetMatrix(src []float64) { copy(s.a, src) }
-
-// SaveRHS copies the stamped right-hand side into dst (length Dim()).
-func (s *System) SaveRHS(dst []float64) { copy(dst, s.b) }
-
-// SetRHS overwrites the right-hand side from src (length Dim()).
-func (s *System) SetRHS(src []float64) { copy(s.b, src) }
-
-// Buffers returns the matrix (row-major, Dim()·Dim()) and right-hand-side
-// buffers themselves, for stampers that add to entries by precomputed
-// flat offsets i·Dim()+j instead of through Add. FactorInPlace and
-// FactorSolveInto recycle the matrix buffer, so fetch the slices again
-// after every SetMatrix rather than holding them across solves.
-func (s *System) Buffers() (a, b []float64) { return s.a, s.b }
-
-// At returns matrix entry (i, j). Ground indices (-1) read as 0.
-func (s *System) At(i, j int) float64 {
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return s.a[i*s.n+j]
-}
-
-// RHS returns right-hand-side entry i. Ground (-1) reads as 0.
-func (s *System) RHS(i int) float64 {
-	if i < 0 {
-		return 0
-	}
-	return s.b[i]
-}
-
-// Add adds v to matrix entry (i, j). Either index may be -1 (ground), in
-// which case the contribution is dropped.
-func (s *System) Add(i, j int, v float64) {
-	if i < 0 || j < 0 {
-		return
-	}
-	s.a[i*s.n+j] += v
-}
-
-// AddRHS adds v to right-hand-side entry i; i may be -1 (ground).
-func (s *System) AddRHS(i int, v float64) {
-	if i < 0 {
-		return
-	}
-	s.b[i] += v
-}
-
-// StampConductance stamps a two-terminal conductance g between unknowns i
-// and j (either may be -1 for ground): the usual
-//
-//	[ +g  -g ]
-//	[ -g  +g ]
-//
-// pattern.
-func (s *System) StampConductance(i, j int, g float64) {
-	s.Add(i, i, g)
-	s.Add(j, j, g)
-	s.Add(i, j, -g)
-	s.Add(j, i, -g)
-}
-
-// StampCurrent stamps an independent current i flowing from node a into
-// node b (current leaves a, enters b).
-func (s *System) StampCurrent(a, b int, cur float64) {
-	s.AddRHS(a, -cur)
-	s.AddRHS(b, cur)
-}
-
-// StampVoltageSource stamps an ideal voltage source with branch unknown
-// br: V(plus) − V(minus) = v. The branch row enforces the constraint and
-// the branch column injects the branch current into the node equations.
-func (s *System) StampVoltageSource(br, plus, minus int, v float64) {
-	s.Add(plus, br, 1)
-	s.Add(minus, br, -1)
-	s.Add(br, plus, 1)
-	s.Add(br, minus, -1)
-	s.AddRHS(br, v)
-}
-
-// StampVCCS stamps a voltage-controlled current source: a current
-// g·(V(cp)−V(cm)) flowing from node p to node m.
-func (s *System) StampVCCS(p, m, cp, cm int, g float64) {
-	s.Add(p, cp, g)
-	s.Add(p, cm, -g)
-	s.Add(m, cp, -g)
-	s.Add(m, cm, g)
-}
-
-// Factor computes the LU factorization with partial pivoting. The stamped
-// matrix is preserved; the factorization lives in a private workspace so
-// the same stamps can be inspected after solving.
-func (s *System) Factor() error {
-	s.luOK = false
-	copy(s.lu, s.a)
-	return luFactor(s.lu, s.perm, s.dinv, s.n)
-}
-
-// FactorInPlace factors the stamped matrix destructively: the matrix
-// buffer itself becomes the LU workspace, skipping the defensive copy of
-// Factor. The stamps are lost; use it when the matrix will be restored
-// from a snapshot (or re-stamped) before the next solve anyway — the
-// Newton hot path.
-func (s *System) FactorInPlace() error {
-	// Swap the roles of a and lu so the factorization writes into what
-	// used to be the stamp buffer; the next SetMatrix/Clear overwrites it.
-	s.luOK = false
-	s.a, s.lu = s.lu, s.a
-	return luFactor(s.lu, s.perm, s.dinv, s.n)
-}
-
-// Solve solves the factored system for the stamped right-hand side and
-// returns the solution. The returned slice is reused by subsequent calls;
-// callers that retain it must copy. Factor must have been called since the
-// last Clear/stamp cycle.
-func (s *System) Solve() []float64 {
-	s.SolveInto(s.x)
-	return s.x
-}
-
-// SolveInto solves the factored system for the stamped right-hand side
-// into dst (length Dim()), without allocating. dst must not alias the
-// system's RHS buffer.
-func (s *System) SolveInto(dst []float64) {
-	luSolve(s.lu, s.perm, s.dinv, s.n, s.b, dst)
-}
-
-// FactorSolve clears nothing, factors, and solves in one call.
-func (s *System) FactorSolve() ([]float64, error) {
-	if err := s.Factor(); err != nil {
-		return nil, err
-	}
-	return s.Solve(), nil
-}
-
-// FactorSolveInto factors and solves into dst without allocating — the
-// zero-allocation Newton kernel. It carries the same-pattern fast path:
-// when the stamped matrix is bit-identical to the one behind the current
-// factorization (common once Newton has settled onto a fixed point), the
-// LU and permutation are reused and only the substitution runs. A reused
-// factorization yields bit-identical results by construction. Returns
-// whether the factorization was reused.
-//
-// Like FactorInPlace, the call is destructive: the stamp buffer is
-// recycled, so re-stamp (or SetMatrix) before the next solve.
-func (s *System) FactorSolveInto(dst []float64) (reused bool, err error) {
-	if s.luOK && equalBits(s.a, s.prev) {
-		s.SolveInto(dst)
-		return true, nil
-	}
-	// Keep the pristine stamped bits in prev for the next comparison and
-	// factor a copy.
-	s.a, s.prev = s.prev, s.a
-	copy(s.lu, s.prev)
-	s.luOK = false
-	if err := luFactor(s.lu, s.perm, s.dinv, s.n); err != nil {
-		return false, err
-	}
-	s.luOK = true
-	s.SolveInto(dst)
-	return false, nil
-}
-
-// equalBits reports whether a and b hold identical values. The compare
-// uses != so any NaN forces a refactor; ±0 compare equal, which is safe
-// because the sign of a zero never changes pivot selection.
-func equalBits(a, b []float64) bool {
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// The LU kernels open the file, so the code alignment of their hot loops
+// does not move when the System methods change size (DESIGN.md §16).
 
 // luFactor performs in-place Doolittle LU with partial pivoting on the
 // row-major n×n matrix m, recording the pivot rows in perm and the
@@ -347,4 +109,167 @@ func luSolve(m []float64, perm []int, dinv []float64, n int, b, x []float64) {
 		}
 		x[i] = sum * dinv[i]
 	}
+}
+
+// System is a dense real linear system A·x = b of dimension n.
+//
+// Row/column index 0 corresponds to the first non-ground unknown; the
+// ground node is eliminated by convention. Stamping helpers accept the
+// value -1 for "ground" and silently drop contributions to that row or
+// column, so device code can stamp without special-casing ground.
+type System struct {
+	n    int
+	a    []float64 // row-major n×n
+	b    []float64
+	lu   []float64 // factorization workspace
+	perm []int     // perm[k] is the physical row of pivot k (luFactor)
+	prev []float64 // matrix bits behind the current factorization
+	dinv []float64 // reciprocal pivots of the factorization
+	luOK bool      // lu/perm correspond to prev
+}
+
+// NewSystem returns a zeroed n-dimensional system.
+func NewSystem(n int) *System {
+	if n < 0 {
+		panic(fmt.Sprintf("mna: negative dimension %d", n))
+	}
+	return &System{
+		n:    n,
+		a:    make([]float64, n*n),
+		b:    make([]float64, n),
+		lu:   make([]float64, n*n),
+		perm: make([]int, n),
+		prev: make([]float64, n*n),
+		dinv: make([]float64, n),
+	}
+}
+
+// ClearMatrix zeroes the matrix only.
+func (s *System) ClearMatrix() {
+	for i := range s.a {
+		s.a[i] = 0
+	}
+}
+
+// ClearRHS zeroes the right-hand side only.
+func (s *System) ClearRHS() {
+	for i := range s.b {
+		s.b[i] = 0
+	}
+}
+
+// SaveMatrix copies the stamped matrix into dst, which must have length
+// n·n for dimension n. Together with SetMatrix it implements the linear-snapshot
+// fast path: stamp the x-independent part once, save it, and restore it
+// by copy before each Newton iteration's nonlinear delta.
+func (s *System) SaveMatrix(dst []float64) { copy(dst, s.a) }
+
+// SetMatrix overwrites the matrix from src (length n·n).
+func (s *System) SetMatrix(src []float64) { copy(s.a, src) }
+
+// SaveRHS copies the stamped right-hand side into dst (length n).
+func (s *System) SaveRHS(dst []float64) { copy(dst, s.b) }
+
+// SetRHS overwrites the right-hand side from src (length n).
+func (s *System) SetRHS(src []float64) { copy(s.b, src) }
+
+// Buffers returns the matrix (row-major, n·n) and right-hand-side
+// buffers themselves, for stampers that add to entries by precomputed
+// flat offsets i·n+j instead of through Add. FactorSolveInto recycles
+// the matrix buffer, so fetch the slices again after every SetMatrix
+// rather than holding them across solves.
+func (s *System) Buffers() (a, b []float64) { return s.a, s.b }
+
+// Add adds v to matrix entry (i, j). Either index may be -1 (ground), in
+// which case the contribution is dropped.
+func (s *System) Add(i, j int, v float64) {
+	if i < 0 || j < 0 {
+		return
+	}
+	s.a[i*s.n+j] += v
+}
+
+// AddRHS adds v to right-hand-side entry i; i may be -1 (ground).
+func (s *System) AddRHS(i int, v float64) {
+	if i < 0 {
+		return
+	}
+	s.b[i] += v
+}
+
+// StampConductance stamps a two-terminal conductance g between unknowns i
+// and j (either may be -1 for ground): the usual
+//
+//	[ +g  -g ]
+//	[ -g  +g ]
+//
+// pattern.
+func (s *System) StampConductance(i, j int, g float64) {
+	s.Add(i, i, g)
+	s.Add(j, j, g)
+	s.Add(i, j, -g)
+	s.Add(j, i, -g)
+}
+
+// StampCurrent stamps an independent current i flowing from node a into
+// node b (current leaves a, enters b).
+func (s *System) StampCurrent(a, b int, cur float64) {
+	s.AddRHS(a, -cur)
+	s.AddRHS(b, cur)
+}
+
+// StampVCCS stamps a voltage-controlled current source: a current
+// g·(V(cp)−V(cm)) flowing from node p to node m.
+func (s *System) StampVCCS(p, m, cp, cm int, g float64) {
+	s.Add(p, cp, g)
+	s.Add(p, cm, -g)
+	s.Add(m, cp, -g)
+	s.Add(m, cm, g)
+}
+
+// SolveInto solves the factored system for the stamped right-hand side
+// into dst (length n), without allocating. dst must not alias the
+// system's RHS buffer.
+func (s *System) SolveInto(dst []float64) {
+	luSolve(s.lu, s.perm, s.dinv, s.n, s.b, dst)
+}
+
+// FactorSolveInto factors and solves into dst without allocating — the
+// zero-allocation Newton kernel. It carries the same-pattern fast path:
+// when the stamped matrix is bit-identical to the one behind the current
+// factorization (common once Newton has settled onto a fixed point), the
+// LU and permutation are reused and only the substitution runs. A reused
+// factorization yields bit-identical results by construction. Returns
+// whether the factorization was reused.
+//
+// The call is destructive: the stamp buffer is recycled, so re-stamp
+// (or SetMatrix) before the next solve.
+func (s *System) FactorSolveInto(dst []float64) (reused bool, err error) {
+	if s.luOK && equalBits(s.a, s.prev) {
+		s.SolveInto(dst)
+		return true, nil
+	}
+	// Keep the pristine stamped bits in prev for the next comparison and
+	// factor a copy.
+	s.a, s.prev = s.prev, s.a
+	copy(s.lu, s.prev)
+	s.luOK = false
+	if err := luFactor(s.lu, s.perm, s.dinv, s.n); err != nil {
+		return false, err
+	}
+	s.luOK = true
+	s.SolveInto(dst)
+	return false, nil
+}
+
+// equalBits reports whether a and b hold identical values. The compare
+// uses != so any NaN forces a refactor; ±0 compare equal, which is safe
+// because the sign of a zero never changes pivot selection.
+func equalBits(a, b []float64) bool {
+	for i, v := range a {
+		if v != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -12,13 +12,39 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// solve factors and solves a real system into a fresh vector.
+func solve(s *System) ([]float64, error) {
+	_, b := s.Buffers()
+	x := make([]float64, len(b))
+	_, err := s.FactorSolveInto(x)
+	return x, err
+}
+
+// csolve factors and solves an n-dimensional complex system into a
+// fresh vector.
+func csolve(s *ComplexSystem, n int) ([]complex128, error) {
+	x := make([]complex128, n)
+	err := s.FactorSolveInto(x)
+	return x, err
+}
+
+// stampVSource stamps an ideal voltage source with branch unknown br,
+// V(plus) − V(minus) = v, the way the source devices do.
+func stampVSource(s *System, br, plus, minus int, v float64) {
+	s.Add(plus, br, 1)
+	s.Add(minus, br, -1)
+	s.Add(br, plus, 1)
+	s.Add(br, minus, -1)
+	s.AddRHS(br, v)
+}
+
 func TestSolveIdentity(t *testing.T) {
 	s := NewSystem(3)
 	for i := 0; i < 3; i++ {
 		s.Add(i, i, 1)
 		s.AddRHS(i, float64(i+1))
 	}
-	x, err := s.FactorSolve()
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +64,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	s.Add(1, 1, 3)
 	s.AddRHS(0, 3)
 	s.AddRHS(1, 5)
-	x, err := s.FactorSolve()
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +82,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	s.Add(1, 1, 0)
 	s.AddRHS(0, 2)
 	s.AddRHS(1, 3)
-	x, err := s.FactorSolve()
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +97,8 @@ func TestSingularMatrix(t *testing.T) {
 	s.Add(0, 1, 2)
 	s.Add(1, 0, 2)
 	s.Add(1, 1, 4)
-	if err := s.Factor(); !errors.Is(err, ErrSingular) {
-		t.Fatalf("Factor() err = %v, want ErrSingular", err)
+	if _, err := solve(s); !errors.Is(err, ErrSingular) {
+		t.Fatalf("FactorSolveInto err = %v, want ErrSingular", err)
 	}
 }
 
@@ -82,13 +108,11 @@ func TestGroundIndexIgnored(t *testing.T) {
 	s.StampConductance(0, 1, 2)
 	s.StampCurrent(-1, 0, 1e-3) // 1 mA into node 0
 	s.Add(1, 1, 1)              // pin node 1 weakly so the system is regular
-	if got := s.At(-1, 0); got != 0 {
-		t.Errorf("At(-1,0) = %g, want 0", got)
+	// Only the non-ground halves land: A[0][0] = 5+2, b[0] = 1e-3.
+	if a, b := s.Buffers(); a[0] != 7 || b[0] != 1e-3 {
+		t.Errorf("A[0][0] = %g, b[0] = %g, want 7 and 1e-3", a[0], b[0])
 	}
-	if got := s.RHS(-1); got != 0 {
-		t.Errorf("RHS(-1) = %g, want 0", got)
-	}
-	x, err := s.FactorSolve()
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +130,8 @@ func TestVoltageDividerStamp(t *testing.T) {
 	g := 1e-3
 	s.StampConductance(0, 1, g)
 	s.StampConductance(1, -1, g)
-	s.StampVoltageSource(2, 0, -1, 10)
-	x, err := s.FactorSolve()
+	stampVSource(s, 2, 0, -1, 10)
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +151,11 @@ func TestVCCSStamp(t *testing.T) {
 	// VCCS from a fixed control voltage drives current into a 1 kΩ load.
 	// Unknowns: 0 = control node, 1 = load node, 2 = control source branch.
 	s := NewSystem(3)
-	s.StampVoltageSource(2, 0, -1, 2) // V(control) = 2
-	s.StampConductance(1, -1, 1e-3)   // load
-	s.StampVCCS(-1, 1, 0, -1, 1e-3)   // i = 1m*Vctl from gnd into load node
-	s.Add(0, 0, 0)                    // no-op, control handled by source
-	x, err := s.FactorSolve()
+	stampVSource(s, 2, 0, -1, 2)    // V(control) = 2
+	s.StampConductance(1, -1, 1e-3) // load
+	s.StampVCCS(-1, 1, 0, -1, 1e-3) // i = 1m*Vctl from gnd into load node
+	s.Add(0, 0, 0)                  // no-op, control handled by source
+	x, err := solve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +168,10 @@ func TestClearResets(t *testing.T) {
 	s := NewSystem(2)
 	s.Add(0, 0, 3)
 	s.AddRHS(1, 4)
-	s.Clear()
-	if s.At(0, 0) != 0 || s.RHS(1) != 0 {
-		t.Error("Clear did not zero the system")
+	s.ClearMatrix()
+	s.ClearRHS()
+	if a, b := s.Buffers(); a[0] != 0 || b[1] != 0 {
+		t.Error("ClearMatrix/ClearRHS did not zero the system")
 	}
 }
 
@@ -158,6 +183,7 @@ func TestRandomSystemsResidual(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		s := NewSystem(n)
 		a := make([]float64, n*n)
+		b := make([]float64, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				v := rng.NormFloat64()
@@ -167,9 +193,10 @@ func TestRandomSystemsResidual(t *testing.T) {
 				a[i*n+j] = v
 				s.Add(i, j, v)
 			}
-			s.AddRHS(i, rng.NormFloat64())
+			b[i] = rng.NormFloat64()
+			s.AddRHS(i, b[i])
 		}
-		x, err := s.FactorSolve()
+		x, err := solve(s)
 		if err != nil {
 			return false
 		}
@@ -178,7 +205,7 @@ func TestRandomSystemsResidual(t *testing.T) {
 			for j := 0; j < n; j++ {
 				sum += a[i*n+j] * x[j]
 			}
-			if !almostEqual(sum, s.RHS(i), 1e-8) {
+			if !almostEqual(sum, b[i], 1e-8) {
 				return false
 			}
 		}
@@ -189,15 +216,16 @@ func TestRandomSystemsResidual(t *testing.T) {
 	}
 }
 
-// TestRefactorAfterRestamp verifies Factor/Solve can be repeated after
-// Clear, the pattern used by every Newton iteration.
+// TestRefactorAfterRestamp verifies FactorSolveInto can be repeated
+// after clearing and re-stamping, the pattern of every Newton iteration.
 func TestRefactorAfterRestamp(t *testing.T) {
 	s := NewSystem(1)
 	for k := 1; k <= 5; k++ {
-		s.Clear()
+		s.ClearMatrix()
+		s.ClearRHS()
 		s.Add(0, 0, float64(k))
 		s.AddRHS(0, float64(k*k))
-		x, err := s.FactorSolve()
+		x, err := solve(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,17 +235,20 @@ func TestRefactorAfterRestamp(t *testing.T) {
 	}
 }
 
+// TestSolveReusesBuffer: SolveInto re-solves the current factorization
+// into the caller's buffer, for a new right-hand side.
 func TestSolveReusesBuffer(t *testing.T) {
 	s := NewSystem(1)
-	s.Add(0, 0, 1)
+	s.Add(0, 0, 4)
 	s.AddRHS(0, 2)
-	if err := s.Factor(); err != nil {
+	x := make([]float64, 1)
+	if _, err := s.FactorSolveInto(x); err != nil {
 		t.Fatal(err)
 	}
-	x1 := s.Solve()
-	x2 := s.Solve()
-	if &x1[0] != &x2[0] {
-		t.Error("Solve allocated a fresh slice; documented contract is reuse")
+	s.SetRHS([]float64{8})
+	s.SolveInto(x)
+	if x[0] != 2 {
+		t.Errorf("x = %g, want 2", x[0])
 	}
 }
 
@@ -226,10 +257,10 @@ func TestComplexSolveKnown(t *testing.T) {
 	s := NewComplexSystem(1)
 	s.Add(0, 0, complex(1, 1))
 	s.AddRHS(0, 2)
-	if err := s.Factor(); err != nil {
+	x, err := csolve(s, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	x := s.Solve()
 	if math.Abs(real(x[0])-1) > 1e-12 || math.Abs(imag(x[0])+1) > 1e-12 {
 		t.Errorf("x = %v, want (1-1i)", x[0])
 	}
@@ -243,10 +274,10 @@ func TestComplexRCAdmittance(t *testing.T) {
 	c := 1e-6
 	s.StampAdmittance(0, -1, complex(g, w*c))
 	s.StampCurrent(-1, 0, 1)
-	if err := s.Factor(); err != nil {
+	x, err := csolve(s, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	x := s.Solve()
 	den := complex(g, w*c)
 	want := 1 / den
 	if math.Abs(real(x[0])-real(want)) > 1e-9 || math.Abs(imag(x[0])-imag(want)) > 1e-9 {
@@ -258,8 +289,8 @@ func TestComplexSingular(t *testing.T) {
 	s := NewComplexSystem(2)
 	s.Add(0, 0, 1)
 	s.Add(1, 0, 1)
-	if err := s.Factor(); !errors.Is(err, ErrSingular) {
-		t.Fatalf("Factor() err = %v, want ErrSingular", err)
+	if _, err := csolve(s, 2); !errors.Is(err, ErrSingular) {
+		t.Fatalf("FactorSolveInto err = %v, want ErrSingular", err)
 	}
 }
 
@@ -268,11 +299,14 @@ func TestComplexVoltageSource(t *testing.T) {
 	s := NewComplexSystem(3)
 	s.StampAdmittance(0, 1, 1e-3)
 	s.StampAdmittance(1, -1, complex(0, 1e-3)) // purely capacitive leg
-	s.StampVoltageSource(2, 0, -1, 1)
-	if err := s.Factor(); err != nil {
+	// The source branch: V(0) = 1.
+	s.Add(0, 2, 1)
+	s.Add(2, 0, 1)
+	s.AddRHS(2, 1)
+	x, err := csolve(s, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	x := s.Solve()
 	// Divider: V1 = (1/j·1e-3 leg) / total = 1/(1+j) = 0.5 − 0.5j.
 	if math.Abs(real(x[1])-0.5) > 1e-9 || math.Abs(imag(x[1])+0.5) > 1e-9 {
 		t.Errorf("V1 = %v, want 0.5-0.5i", x[1])

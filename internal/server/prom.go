@@ -12,9 +12,9 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/api"
 	"repro/internal/obs/export"
-	"repro/internal/obs/hist"
 )
 
 // timed is the HTTP latency middleware: every request records its wall
@@ -67,19 +67,6 @@ func routeClass(r *http.Request) string {
 	default:
 		return r.Method + " other"
 	}
-}
-
-// wireHist converts a histogram snapshot into the wire shape the
-// exposition writer consumes.
-func wireHist(s hist.Snapshot) api.HistogramSnapshot {
-	out := api.HistogramSnapshot{
-		Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max,
-		P50: s.P50(), P90: s.P90(), P99: s.P99(),
-	}
-	for _, b := range s.Buckets {
-		out.Buckets = append(out.Buckets, api.HistogramBucket{Lo: b.Lower, Hi: b.Upper, Count: b.Count})
-	}
-	return out
 }
 
 // writeProm renders the daemon's text exposition (format 0.0.4): queue
@@ -138,18 +125,18 @@ func (s *Server) writeProm(w io.Writer) {
 	}
 	if qs := s.queueWait.Snapshot(); qs.Count > 0 {
 		p.Histogram("atpgd_queue_wait_seconds", "Time jobs spent queued before a worker picked them up.",
-			nil, wireHist(qs), 1e-9)
+			nil, repro.WireHistogram(qs), 1e-9)
 	}
 	if js := s.jobDur.Snapshot(); js.Count > 0 {
 		p.Histogram("atpgd_job_duration_seconds", "Wall time of job execution attempts.",
-			nil, wireHist(js), 1e-9)
+			nil, repro.WireHistogram(js), 1e-9)
 	}
 	for _, h := range s.httpLat.Snapshot() {
 		if h.Count == 0 {
 			continue
 		}
 		p.Histogram("atpgd_http_request_duration_seconds", "HTTP request latency per route class.",
-			export.PromLabels{{"route", h.Name}}, wireHist(h.Snapshot), 1e-9)
+			export.PromLabels{{"route", h.Name}}, repro.WireHistogram(h.Snapshot), 1e-9)
 	}
 	if fn := s.engineLive.Load(); fn != nil && *fn != nil {
 		export.PromFromMetrics(p, (*fn)())

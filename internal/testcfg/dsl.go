@@ -6,12 +6,7 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/circuit"
-	"repro/internal/dsp"
-	"repro/internal/macros"
 	"repro/internal/netlist"
-	"repro/internal/sim"
-	"repro/internal/wave"
 )
 
 // Test configuration description language — the textual form of the
@@ -43,6 +38,12 @@ import (
 //	sum(node)     ΣV·dt of the same sample comb     (step stimulus)
 //
 // Lines starting with '#' or '*' are comments.
+//
+// A description compiles onto the built-in simulate steps and measures
+// (testcfg.go): vdc and idd read an operating point at the stimulus's
+// DC level, thd a sine capture of its node, max and sum a step response
+// of theirs. Each description gets an analysis of its own, without a
+// warm recipe.
 
 type dslStimulus struct {
 	kind   string // dc, sine, step
@@ -128,7 +129,7 @@ func ParseConfig(r io.Reader) (*Config, error) {
 				return nil, fail("bad accuracy %q", fields[3])
 			}
 			ret = rk
-			retUnit = unitOfReturn(rk.kind)
+			retUnit = dslReturns[rk.kind].unit
 			retAcc = acc
 			cfg.Observe = fields[1]
 		default:
@@ -160,12 +161,30 @@ func ParseConfig(r io.Reader) (*Config, error) {
 		}
 		refIdx[i] = j
 	}
-	if err := checkCompat(stim.kind, ret.kind); err != nil {
-		return nil, err
+	if cfg.an = compileDSL(stim, refIdx, ret); cfg.an == nil {
+		return nil, fmt.Errorf("testcfg dsl: return %s() incompatible with stimulus %s()", ret.kind, stim.kind)
+	}
+	cfg.measure = dslReturns[ret.kind].measure
+	if cfg.measure == nil {
+		cfg.measure = vdcMeasure(ret.node)
 	}
 	cfg.Returns = []Return{{Name: cfg.Observe, Unit: retUnit, Accuracy: retAcc}}
-	cfg.run = buildDSLRunner(stim, refIdx, ret)
 	return cfg, nil
+}
+
+// compileDSL maps a stimulus/return pair onto its simulate step, or
+// returns nil when the pair is incompatible. refIdx holds the parameter
+// index of each stimulus reference.
+func compileDSL(stim *dslStimulus, refIdx []int, ret *dslReturn) *analysis {
+	switch {
+	case stim.kind == "step" && (ret.kind == "max" || ret.kind == "sum"):
+		return stepAnalysis(refIdx[0], refIdx[1], stim.consts[0], stim.consts[1], ret.node)
+	case stim.kind == "sine" && ret.kind == "thd":
+		return sineAnalysis(refIdx[0], refIdx[1], stim.consts[0], ret.node)
+	case stim.kind != "step" && (ret.kind == "vdc" || ret.kind == "idd"):
+		return opAnalysis(refIdx[0], ret.node, false)
+	}
+	return nil
 }
 
 // ParseConfigString is ParseConfig over a string.
@@ -217,45 +236,26 @@ func parseDSLReturn(s string) (*dslReturn, error) {
 		return nil, fmt.Errorf("return %q is not KIND(node)", s)
 	}
 	r := &dslReturn{kind: kind, node: strings.TrimSpace(arg)}
-	switch kind {
-	case "vdc", "thd", "max", "sum":
-		if r.node == "" {
-			return nil, fmt.Errorf("%s() needs a node", kind)
-		}
-	case "idd":
-		// no node
-	default:
+	if _, ok := dslReturns[kind]; !ok {
 		return nil, fmt.Errorf("unknown return kind %q", kind)
+	}
+	if r.node == "" && kind != "idd" {
+		return nil, fmt.Errorf("%s() needs a node", kind)
 	}
 	return r, nil
 }
 
-func unitOfReturn(kind string) string {
-	switch kind {
-	case "vdc", "max":
-		return "V"
-	case "idd":
-		return "A"
-	case "thd":
-		return "%"
-	case "sum":
-		return "V·s"
-	}
-	return ""
-}
-
-func checkCompat(stim, ret string) error {
-	ok := map[string][]string{
-		"dc":   {"vdc", "idd"},
-		"sine": {"thd", "vdc", "idd"},
-		"step": {"max", "sum"},
-	}
-	for _, r := range ok[stim] {
-		if r == ret {
-			return nil
-		}
-	}
-	return fmt.Errorf("testcfg dsl: return %s() incompatible with stimulus %s()", ret, stim)
+// dslReturns holds each return kind's unit and measure; vdc's (nil
+// here) reads the node its return names.
+var dslReturns = map[string]struct {
+	unit    string
+	measure measure
+}{
+	"vdc": {"V", nil},
+	"idd": {"A", iddMeasure},
+	"thd": {"%", thdMeasure},
+	"max": {"V", maxMeasure},
+	"sum": {"V·s", sumMeasure},
 }
 
 // cutParen splits "kind(args)" into its pieces.
@@ -277,95 +277,4 @@ func splitArgs(s string) []string {
 		}
 	}
 	return out
-}
-
-// buildDSLRunner assembles the measurement procedure. A return node the
-// macro lacks fails the run before anything is simulated.
-func buildDSLRunner(stim *dslStimulus, refIdx []int, ret *dslReturn) optsRunner {
-	return func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error) {
-		if ret.node != "" && !ckt.HasNode(ret.node) {
-			return nil, fmt.Errorf("testcfg dsl: node %q missing", ret.node)
-		}
-		switch stim.kind {
-		case "dc":
-			macros.SetInputWave(ckt, wave.DC(T[refIdx[0]]))
-			return runDCReturn(ckt, ret, opts)
-		case "sine":
-			freq := T[refIdx[1]]
-			macros.SetInputWave(ckt, wave.Sine{
-				Offset: T[refIdx[0]], Amplitude: stim.consts[0], Freq: freq,
-			})
-			if ret.kind != "thd" {
-				// DC-style return on a sine stimulus: operating point at
-				// the offset.
-				return runDCReturn(ckt, ret, opts)
-			}
-			e, err := sim.New(ckt, opts)
-			if err != nil {
-				return nil, err
-			}
-			period := 1 / freq
-			total := thdWarmPeriods + thdMeasurePeriods
-			tr, err := e.Transient(float64(total)*period, period/thdStepsPerPeriod, []string{ret.node})
-			if err != nil {
-				return nil, err
-			}
-			v := tr.Signal(ret.node)
-			n := thdMeasurePeriods * thdStepsPerPeriod
-			if len(v) < n {
-				return nil, fmt.Errorf("testcfg dsl: trace too short")
-			}
-			thd, err := dsp.THDPercent(v[len(v)-n:], thdMeasurePeriods, thdMaxHarmonic)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{thd}, nil
-		case "step":
-			macros.SetInputWave(ckt, wave.Step{
-				Base: T[refIdx[0]], Elev: T[refIdx[1]],
-				Delay: stim.consts[0], Rise: stim.consts[1],
-			})
-			e, err := sim.New(ckt, opts)
-			if err != nil {
-				return nil, err
-			}
-			dt := 1 / stepSampleRate
-			tr, err := e.Transient(stepTestTime, dt, []string{ret.node})
-			if err != nil {
-				return nil, err
-			}
-			v := tr.Signal(ret.node)
-			switch ret.kind {
-			case "max":
-				return []float64{dsp.Max(v)}, nil
-			default: // sum
-				return []float64{dsp.Accumulate(v, dt)}, nil
-			}
-		}
-		return nil, fmt.Errorf("testcfg dsl: unreachable stimulus kind %q", stim.kind)
-	}
-}
-
-// runDCReturn evaluates vdc/idd returns from an operating point.
-func runDCReturn(ckt *circuit.Circuit, ret *dslReturn, opts sim.Options) ([]float64, error) {
-	e, err := sim.New(ckt, opts)
-	if err != nil {
-		return nil, err
-	}
-	x, err := e.OperatingPoint()
-	if err != nil {
-		return nil, err
-	}
-	switch ret.kind {
-	case "vdc":
-		return []float64{e.Voltage(x, ret.node)}, nil
-	case "idd":
-		i, err := e.BranchCurrent(x, macros.SupplySourceName)
-		if err != nil {
-			return nil, err
-		}
-		return []float64{-i}, nil
-	default:
-		return nil, fmt.Errorf("testcfg dsl: return %s() needs a transient stimulus", ret.kind)
-	}
 }

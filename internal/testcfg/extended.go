@@ -1,26 +1,17 @@
 package testcfg
 
-import (
-	"fmt"
-
-	"repro/internal/circuit"
-	"repro/internal/dsp"
-	"repro/internal/macros"
-	"repro/internal/sim"
-	"repro/internal/wave"
-)
+import "repro/internal/dsp"
 
 // Extended configurations beyond the paper's Table 1. The paper's
 // framework explicitly supports adding test configuration descriptions
 // per macro type; these demonstrate the extension point with richer
 // dynamic ATE measurements.
 
-// sinadConfig is configuration #6: the same coherent sine capture as the
-// THD configuration, reporting SINAD (signal over noise-plus-distortion)
-// in dB — the measurement a mixed-signal production flow typically adds
-// next. The return value is negated SINAD so that "larger deviation"
-// still means "worse part" on the same axis convention as the other
-// configurations (the sensitivity machinery only cares about |Δr|).
+// sinadConfig is configuration #6: configuration #3's sine capture —
+// same stimulus, window, probe and parameter box, so a session runs the
+// two as one simulation — reporting SINAD (signal over
+// noise-plus-distortion) in dB, the measurement a mixed-signal
+// production flow typically adds next.
 func sinadConfig() *Config {
 	return &Config{
 		ID:       6,
@@ -33,41 +24,32 @@ func sinadConfig() *Config {
 			{Name: "freq", Unit: "Hz", Lo: 1e3, Hi: 100e3, Seed: 10e3},
 		},
 		Returns: []Return{{Name: "SINAD(Vout)", Unit: "dB", Accuracy: 0.5}},
-		run: func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error) {
-			iindc, freq := T[0], T[1]
-			macros.SetInputWave(ckt, wave.Sine{Offset: iindc, Amplitude: 5e-6, Freq: freq})
-			e, err := sim.New(ckt, opts)
-			if err != nil {
-				return nil, err
-			}
-			period := 1 / freq
-			total := thdWarmPeriods + thdMeasurePeriods
-			dt := period / thdStepsPerPeriod
-			tr, err := e.Transient(float64(total)*period, dt, []string{macros.NodeVout})
-			if err != nil {
-				return nil, err
-			}
-			v := tr.Signal(macros.NodeVout)
-			n := thdMeasurePeriods * thdStepsPerPeriod
-			if len(v) < n {
-				return nil, fmt.Errorf("testcfg sinad: trace too short")
-			}
-			sp, err := dsp.AnalyzeSpectrum(v[len(v)-n:], thdMeasurePeriods, n/4)
-			if err != nil {
-				return nil, err
-			}
-			sinad, err := sp.SINADdB()
-			if err != nil {
-				return nil, err
-			}
-			// Clamp the ideal-record +Inf to a finite ceiling so the
-			// sensitivity arithmetic stays well-defined.
-			if sinad > 200 {
-				sinad = 200
-			}
-			return []float64{sinad}, nil
-		},
+		an:      sineTransient,
+		measure: sinadMeasure,
 	}
+}
+
+// sinadMeasure is the SINAD in dB of the measured periods of a sine
+// capture, clamped to 200 dB so that the ideal record's +Inf keeps the
+// sensitivity arithmetic well-defined. The sensitivity machinery only
+// cares about |Δr|, so the axis direction is immaterial.
+func sinadMeasure(o outcome) ([]float64, error) {
+	v, err := measuredPeriods(o)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := dsp.AnalyzeSpectrum(v, thdMeasurePeriods, len(v)/4)
+	if err != nil {
+		return nil, err
+	}
+	sinad, err := sp.SINADdB()
+	if err != nil {
+		return nil, err
+	}
+	if sinad > 200 {
+		sinad = 200
+	}
+	return []float64{sinad}, nil
 }
 
 // ExtendedIVConfigs returns the paper's five configurations plus the

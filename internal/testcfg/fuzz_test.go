@@ -17,7 +17,7 @@ func FuzzConfigDSL(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(c.Params) == 0 || len(c.Returns) != 1 || c.run == nil {
+		if len(c.Params) == 0 || len(c.Returns) != 1 || c.an == nil || c.measure == nil {
 			t.Fatalf("accepted configuration is incomplete: %+v", c)
 		}
 		if !c.Bounds().Contains(c.Seeds()) {

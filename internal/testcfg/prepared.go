@@ -1,7 +1,7 @@
 package testcfg
 
 import (
-	"fmt"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/sim"
@@ -25,24 +25,30 @@ import (
 // stamps from a zeroed matrix, which the simulation kernel guarantees to
 // be bit-identical to a freshly built engine.
 
-// analysis is the simulate step of built-in configurations: prep builds
-// an evaluator whose engine uses opts and that applies the stimulus for
-// T to a compiled circuit and runs one simulation. Configurations
-// sharing an analysis differ only in their measure step, so one
-// simulation serves all of them.
+// analysis is the simulate step of a configuration: prep builds an
+// evaluator whose engine uses opts and that applies the stimulus for T
+// to a compiled circuit and runs one simulation, and window is the ATE
+// time of one application at T (Config.Window). Configurations sharing
+// an analysis differ only in their measure step, so one simulation
+// serves all of them.
 type analysis struct {
-	prep func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error)
+	prep   func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error)
+	window func(T []float64) time.Duration
 }
 
 // outcome is what one simulation hands the measure steps: the engine and
-// solution vector of an operating point, or the observed Vout samples of
-// a transient. Both belong to the evaluator and stay valid until its
-// next run; measures only read them.
+// solution vector of an operating point, or the observed samples of a
+// transient (a custom runner's return values). Both belong to the
+// evaluator and stay valid until its next run; measures only read them.
 type outcome struct {
 	eng *sim.Engine
 	x   []float64
 	v   []float64
 }
+
+// measure is the post-processing step of a configuration: it reduces one
+// outcome of the configuration's analysis to its return values.
+type measure func(o outcome) ([]float64, error)
 
 // measureAll reduces one outcome to every configuration's return values.
 func measureAll(cfgs []*Config, o outcome) ([][]float64, error) {
@@ -73,17 +79,10 @@ type Evaluator struct {
 	warm func(T []float64) (outcome, error)
 }
 
-// CanPrepare reports whether the configuration supports retained-engine
-// evaluation. Custom runners (NewCustom) and DSL configurations do not.
-func (c *Config) CanPrepare() bool { return c.an != nil }
-
 // Prepare validates the macro interface, clones the circuit once, and
 // builds a retained evaluator whose engine uses opts. The clone is owned
 // by the evaluator; the input circuit is never modified.
 func (c *Config) Prepare(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
-	if c.an == nil {
-		return nil, fmt.Errorf("testcfg %s: configuration has no prepared evaluator", c.Name)
-	}
 	if err := ValidateMacro(ckt); err != nil {
 		return nil, err
 	}

@@ -16,10 +16,6 @@ import (
 func TestPreparedBitIdentical(t *testing.T) {
 	ckt := macros.IVConverter()
 	for _, c := range IVConfigs() {
-		if !c.CanPrepare() {
-			t.Errorf("config #%d has no prepared evaluator", c.ID)
-			continue
-		}
 		ev, err := c.Prepare(ckt, sim.DefaultOptions())
 		if err != nil {
 			t.Fatalf("config #%d: %v", c.ID, err)
@@ -87,16 +83,28 @@ func TestPreparedWarmAgrees(t *testing.T) {
 	}
 }
 
-// TestPreparedValidation: custom configurations cannot be prepared, and
-// the evaluator enforces the same parameter bounds as Config.Run.
+// TestPreparedValidation: a custom configuration prepares, and its
+// evaluator reproduces Run; the evaluator enforces the same parameter
+// bounds as Config.Run.
 func TestPreparedValidation(t *testing.T) {
 	custom := NewCustom(99, "custom", []Param{{Name: "p", Lo: 0, Hi: 1, Seed: 0.5}}, nil,
-		func(ckt *circuit.Circuit, T []float64) ([]float64, error) { return []float64{0}, nil })
-	if custom.CanPrepare() {
-		t.Error("custom configuration reports CanPrepare")
+		func(ckt *circuit.Circuit, T []float64) ([]float64, error) { return []float64{2 * T[0]}, nil })
+	cev, err := custom.Prepare(macros.IVConverter(), sim.DefaultOptions())
+	if err != nil {
+		t.Fatalf("Prepare on a custom configuration: %v", err)
 	}
-	if _, err := custom.Prepare(macros.IVConverter(), sim.DefaultOptions()); err == nil {
-		t.Error("Prepare on a custom configuration succeeded")
+	for _, T := range [][]float64{{0.5}, {0.25}} {
+		got, err := cev.Run(T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := custom.Run(macros.IVConverter(), T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] {
+			t.Errorf("custom evaluator at %v = %v, Run %v", T, got, want)
+		}
 	}
 
 	c := IVConfigs()[0]

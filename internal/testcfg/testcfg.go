@@ -13,6 +13,7 @@ package testcfg
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -46,10 +47,6 @@ type Return struct {
 // circuit at parameter vector T and produces the return values.
 type Runner func(ckt *circuit.Circuit, T []float64) ([]float64, error)
 
-// optsRunner is a Runner that builds its engines with the caller's
-// solver options.
-type optsRunner func(ckt *circuit.Circuit, T []float64, opts sim.Options) ([]float64, error)
-
 // Config is a test configuration implementation.
 type Config struct {
 	// ID is the paper's configuration number (1-based).
@@ -64,20 +61,19 @@ type Config struct {
 	Observe string
 	Params  []Param
 	Returns []Return
-	// A built-in configuration is a simulate step (an, shared by every
+	// Every configuration is a simulate step (an, shared by every
 	// configuration that applies the same stimulus to the same observed
-	// signal) followed by its own measure step; a custom or DSL
-	// configuration is an opaque runner instead (an == nil).
+	// signal) followed by its own measure step.
 	an      *analysis
-	measure func(o outcome) ([]float64, error)
-	run     optsRunner
+	measure measure
 }
 
 // NewCustom builds a configuration around a caller-supplied runner. It
 // is the extension point for test configurations outside this package —
 // and for the chaos tests, which need runners that panic or refuse to
-// converge on demand. The runner builds its own engines, so the solver
-// options a caller passes to RunGroup do not reach it.
+// converge on demand. The runner is the configuration's simulate step
+// and its values are the return values; it builds its own engines, so
+// the solver options a caller passes to RunGroup do not reach it.
 func NewCustom(id int, name string, params []Param, returns []Return, run Runner) *Config {
 	return &Config{
 		ID:      id,
@@ -85,9 +81,8 @@ func NewCustom(id int, name string, params []Param, returns []Return, run Runner
 		Macro:   "iv-converter",
 		Params:  params,
 		Returns: returns,
-		run: func(ckt *circuit.Circuit, T []float64, _ sim.Options) ([]float64, error) {
-			return run(ckt, T)
-		},
+		an:      customAnalysis(run),
+		measure: func(o outcome) ([]float64, error) { return o.v, nil },
 	}
 }
 
@@ -133,13 +128,19 @@ func (c *Config) Run(ckt *circuit.Circuit, T []float64) ([]float64, error) {
 	return r[0], nil
 }
 
+// Window is the ATE stimulus and measurement window of one application
+// of the configuration at T, as its analysis reports it: 1 ms for an
+// operating point (and for a custom configuration), the warm-up and
+// measured periods of a sine capture, the 7.5 µs of a step response.
+func (c *Config) Window(T []float64) time.Duration { return c.an.window(T) }
+
 // SharesAnalysis reports whether a and b apply the same stimulus to the
 // same observed signal over the same parameter box and differ only in
 // post-processing, so that one simulation yields the return values of
-// both. Only built-in configurations share; custom and DSL ones are
-// always alone.
+// both. Only built-in configurations share; each custom and DSL
+// configuration has an analysis of its own, so it is always alone.
 func SharesAnalysis(a, b *Config) bool {
-	if a.an == nil || a.an != b.an || len(a.Params) != len(b.Params) {
+	if a.an != b.an || len(a.Params) != len(b.Params) {
 		return false
 	}
 	for i, p := range a.Params {
@@ -155,29 +156,14 @@ func SharesAnalysis(a, b *Config) bool {
 // returns each configuration's return values, in order — each
 // bit-identical to that configuration's own Run. cfgs[0] validates T;
 // every other entry must share its analysis (SharesAnalysis). Every
-// engine the run builds uses opts. A built-in configuration runs
-// through a throwaway Evaluator, so the throwaway and the retained path
-// are one piece of code.
+// engine the run builds uses opts. It runs a throwaway Evaluator, so
+// the throwaway and the retained path are one piece of code.
 func RunGroup(cfgs []*Config, ckt *circuit.Circuit, T []float64, opts sim.Options) ([][]float64, error) {
-	c := cfgs[0]
-	if c.an != nil {
-		ev, err := c.Prepare(ckt, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ev.RunGroup(cfgs, T)
-	}
-	if err := c.Check(T); err != nil {
-		return nil, err
-	}
-	if err := ValidateMacro(ckt); err != nil {
-		return nil, err
-	}
-	r, err := c.run(ckt.Clone(), T, opts)
+	ev, err := cfgs[0].Prepare(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
-	return [][]float64{r}, nil
+	return ev.RunGroup(cfgs, T)
 }
 
 // Bounds returns the constraint box of the parameter space.
@@ -265,47 +251,199 @@ func ByID(cfgs []*Config, id int) *Config {
 
 // The shared analyses of the built-in configurations. Configurations
 // that point at the same analysis form one simulation group in a
-// session (SharesAnalysis): #1/#2 read one DC operating point, #4/#5
-// reduce one sampled step transient; #3 stands alone.
+// session (SharesAnalysis): #1/#2 read one DC operating point, #3/#6
+// reduce one sine capture, #4/#5 one sampled step transient. A DSL
+// description compiles onto an analysis of its own (dsl.go).
 var (
-	dcOperatingPoint = &analysis{prep: opPrep}
-	sineTransient    = &analysis{prep: sinePrep}
-	stepTransient    = &analysis{prep: stepPrep}
+	dcOperatingPoint = opAnalysis(0, "", true)
+	sineTransient    = sineAnalysis(0, 1, 5e-6, macros.NodeVout)
+	stepTransient    = stepAnalysis(0, 1, stepDelay, stepRise, macros.NodeVout)
 )
 
-// opPrep is the simulate step of the DC configurations (#1, #2): an
-// engine on the compiled circuit with a cold recipe (zeroed Newton
-// guess, bit-identical to a fresh engine) and a warm recipe (previous
-// solution as the seed).
-func opPrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+// dcWindow is the ATE window of a DC measurement, which settles in
+// about 1 ms.
+func dcWindow([]float64) time.Duration { return time.Millisecond }
+
+// newEngine builds the engine of a simulate step on the compiled circuit
+// and checks that the circuit has the node the step observes ("":
+// none). ValidateMacro guarantees the built-ins' Vout, so only a DSL
+// description can name a node the macro lacks.
+func newEngine(ckt *circuit.Circuit, opts sim.Options, node string) (*sim.Engine, error) {
 	e, err := sim.New(ckt, opts)
 	if err != nil {
 		return nil, err
 	}
-	x := make([]float64, e.Layout().Dim())
-	wx := make([]float64, e.Layout().Dim())
-	cold := func(T []float64) (outcome, error) {
-		macros.SetInputWave(ckt, wave.DC(T[0]))
-		for i := range x {
-			x[i] = 0
-		}
-		if err := e.OperatingPointInto(x); err != nil {
-			return outcome{}, err
-		}
-		return outcome{eng: e, x: x}, nil
+	if _, ok := e.Layout().NodeIndex[node]; !ok && node != "" && !circuit.IsGround(node) {
+		return nil, fmt.Errorf("testcfg dsl: node %q missing", node)
 	}
-	warm := func(T []float64) (outcome, error) {
-		macros.SetInputWave(ckt, wave.DC(T[0]))
-		if err := e.OperatingPointInto(wx); err != nil {
-			// Don't leave a diverged iterate as the next seed.
-			for i := range wx {
-				wx[i] = 0
+	return e, nil
+}
+
+// opAnalysis is the operating-point step: the DC level T[in] at the
+// input and the solution handed to the measures, which may read node.
+// Its cold recipe zeroes the Newton guess, bit-identical to a fresh
+// engine; with warm it also gets a warm recipe that seeds Newton with
+// the previous solution. Only the built-in DC analysis is warm.
+func opAnalysis(in int, node string, warm bool) *analysis {
+	return &analysis{window: dcWindow, prep: func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+		e, err := newEngine(ckt, opts, node)
+		if err != nil {
+			return nil, err
+		}
+		x := make([]float64, e.Layout().Dim())
+		ev := &Evaluator{eng: e, cold: func(T []float64) (outcome, error) {
+			macros.SetInputWave(ckt, wave.DC(T[in]))
+			for i := range x {
+				x[i] = 0
 			}
-			return outcome{}, err
+			if err := e.OperatingPointInto(x); err != nil {
+				return outcome{}, err
+			}
+			return outcome{eng: e, x: x}, nil
+		}}
+		if warm {
+			wx := make([]float64, e.Layout().Dim())
+			ev.warm = func(T []float64) (outcome, error) {
+				macros.SetInputWave(ckt, wave.DC(T[in]))
+				if err := e.OperatingPointInto(wx); err != nil {
+					// Don't leave a diverged iterate as the next seed.
+					for i := range wx {
+						wx[i] = 0
+					}
+					return outcome{}, err
+				}
+				return outcome{eng: e, x: wx}, nil
+			}
 		}
-		return outcome{eng: e, x: wx}, nil
+		return ev, nil
+	}}
+}
+
+// transientAnalysis is a transient step: drive applies the stimulus for
+// T and returns the simulated time and step, and the trace of node goes
+// to the measures. A transient analysis keeps no state across calls
+// (operating point, step history and companion states are rebuilt per
+// run), so it needs no cold/warm split: every run is exact. The
+// evaluator owns one trace that every run refills, so outcome.v is valid
+// until its next run.
+func transientAnalysis(node string, window func([]float64) time.Duration,
+	drive func(ckt *circuit.Circuit, T []float64) (stop, dt float64)) *analysis {
+	return &analysis{window: window, prep: func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+		e, err := newEngine(ckt, opts, node)
+		if err != nil {
+			return nil, err
+		}
+		probe := []string{node}
+		var tr sim.Trace
+		return &Evaluator{eng: e, cold: func(T []float64) (outcome, error) {
+			stop, dt := drive(ckt, T)
+			if err := e.TransientInto(&tr, stop, dt, probe); err != nil {
+				return outcome{}, err
+			}
+			return outcome{v: tr.Signal(node)}, nil
+		}}, nil
+	}}
+}
+
+// sineAnalysis is the sine capture: a sine of amplitude amp riding on
+// the DC level T[offset] at frequency T[freq], node observed over the
+// warm-up and measured periods.
+func sineAnalysis(offset, freq int, amp float64, node string) *analysis {
+	const periods = thdWarmPeriods + thdMeasurePeriods
+	return transientAnalysis(node, func(T []float64) time.Duration {
+		f := 1e3
+		if len(T) > freq && T[freq] > 0 {
+			f = T[freq]
+		}
+		return time.Duration(periods / f * float64(time.Second))
+	}, func(ckt *circuit.Circuit, T []float64) (stop, dt float64) {
+		f := T[freq]
+		macros.SetInputWave(ckt, wave.Sine{Offset: T[offset], Amplitude: amp, Freq: f})
+		period := 1 / f
+		return periods * period, period / thdStepsPerPeriod
+	})
+}
+
+// stepAnalysis is the step response: a step from T[base] by T[elev]
+// after delay with the given rise, node sampled at 100 MHz for 7.5 µs.
+func stepAnalysis(base, elev int, delay, rise float64, node string) *analysis {
+	return transientAnalysis(node, func([]float64) time.Duration {
+		return time.Duration(stepTestTime * float64(time.Second))
+	}, func(ckt *circuit.Circuit, T []float64) (stop, dt float64) {
+		macros.SetInputWave(ckt, wave.Step{Base: T[base], Elev: T[elev], Delay: delay, Rise: rise})
+		return stepTestTime, 1 / stepSampleRate
+	})
+}
+
+// customAnalysis runs a NewCustom runner on a fresh clone of the
+// evaluator's circuit per run, so a retargeted impact is visible and no
+// runner state outlives a run; its values pass on as outcome.v. The
+// engine serves Retarget only.
+func customAnalysis(run Runner) *analysis {
+	return &analysis{window: dcWindow, prep: func(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
+		e, err := sim.New(ckt, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Evaluator{eng: e, cold: func(T []float64) (outcome, error) {
+			r, err := run(ckt.Clone(), T)
+			return outcome{v: r}, err
+		}}, nil
+	}}
+}
+
+// The measure steps, one per return kind of the description language
+// (dsl.go). The built-in configurations are built from them too.
+
+// vdcMeasure is the DC voltage at node (vdc).
+func vdcMeasure(node string) measure {
+	return func(o outcome) ([]float64, error) {
+		return []float64{o.eng.Voltage(o.x, node)}, nil
 	}
-	return &Evaluator{eng: e, cold: cold, warm: warm}, nil
+}
+
+// iddMeasure is the DC current drawn from the Vdd supply (idd).
+func iddMeasure(o outcome) ([]float64, error) {
+	i, err := o.eng.BranchCurrent(o.x, macros.SupplySourceName)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{-i}, nil
+}
+
+// thdMeasure is the THD in percent of the measured periods of a sine
+// capture, harmonics 2..5 (thd).
+func thdMeasure(o outcome) ([]float64, error) {
+	v, err := measuredPeriods(o)
+	if err != nil {
+		return nil, err
+	}
+	thd, err := dsp.THDPercent(v, thdMeasurePeriods, thdMaxHarmonic)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{thd}, nil
+}
+
+// measuredPeriods is the part of a sine capture its measures reduce: the
+// samples of the measured periods after the warm-up.
+func measuredPeriods(o outcome) ([]float64, error) {
+	n := thdMeasurePeriods * thdStepsPerPeriod
+	if len(o.v) < n {
+		return nil, fmt.Errorf("testcfg: sine trace too short (%d < %d)", len(o.v), n)
+	}
+	return o.v[len(o.v)-n:], nil
+}
+
+// sumMeasure accumulates the 100 MHz samples of a step response into
+// ΣV·dt (sum).
+func sumMeasure(o outcome) ([]float64, error) {
+	return []float64{dsp.Accumulate(o.v, 1/stepSampleRate)}, nil
+}
+
+// maxMeasure is the largest sample of a step response (max).
+func maxMeasure(o outcome) ([]float64, error) {
+	return []float64{dsp.Max(o.v)}, nil
 }
 
 // dcOutConfig is configuration #1: a DC current level applied at Iin, DC
@@ -322,9 +460,7 @@ func dcOutConfig() *Config {
 		},
 		Returns: []Return{{Name: "V(Vout)", Unit: "V", Accuracy: 1e-3}},
 		an:      dcOperatingPoint,
-		measure: func(o outcome) ([]float64, error) {
-			return []float64{o.eng.Voltage(o.x, macros.NodeVout)}, nil
-		},
+		measure: vdcMeasure(macros.NodeVout),
 	}
 }
 
@@ -342,13 +478,7 @@ func supplyCurrentConfig() *Config {
 		},
 		Returns: []Return{{Name: "I(Vdd)", Unit: "A", Accuracy: 0.2e-6}},
 		an:      dcOperatingPoint,
-		measure: func(o outcome) ([]float64, error) {
-			i, err := o.eng.BranchCurrent(o.x, macros.SupplySourceName)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{-i}, nil
-		},
+		measure: iddMeasure,
 	}
 }
 
@@ -368,63 +498,8 @@ func thdConfig() *Config {
 		},
 		Returns: []Return{{Name: "THD(Vout)", Unit: "%", Accuracy: 0.02}},
 		an:      sineTransient,
-		measure: func(o outcome) ([]float64, error) {
-			n := thdMeasurePeriods * thdStepsPerPeriod
-			if len(o.v) < n {
-				return nil, fmt.Errorf("testcfg thd: trace too short (%d < %d)", len(o.v), n)
-			}
-			thd, err := dsp.THDPercent(o.v[len(o.v)-n:], thdMeasurePeriods, thdMaxHarmonic)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{thd}, nil
-		},
+		measure: thdMeasure,
 	}
-}
-
-// sinePrep is the simulate step of configuration #3: the sine stimulus
-// and a Vout trace over the warm-up and measured periods. A transient
-// analysis keeps no state across calls (operating point, step history
-// and companion states are rebuilt per run), so it needs no cold/warm
-// split: every run is exact. The evaluator owns one trace that every
-// run refills, so outcome.v is valid until its next run.
-func sinePrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
-	e, err := sim.New(ckt, opts)
-	if err != nil {
-		return nil, err
-	}
-	var tr sim.Trace
-	run := func(T []float64) (outcome, error) {
-		iindc, freq := T[0], T[1]
-		macros.SetInputWave(ckt, wave.Sine{Offset: iindc, Amplitude: 5e-6, Freq: freq})
-		period := 1 / freq
-		total := thdWarmPeriods + thdMeasurePeriods
-		dt := period / thdStepsPerPeriod
-		if err := e.TransientInto(&tr, float64(total)*period, dt, []string{macros.NodeVout}); err != nil {
-			return outcome{}, err
-		}
-		return outcome{v: tr.Signal(macros.NodeVout)}, nil
-	}
-	return &Evaluator{eng: e, cold: run}, nil
-}
-
-// stepPrep is the simulate step shared by configurations #4/#5: the
-// step stimulus and the 100 MHz Vout sample comb, refilling one trace
-// like sinePrep.
-func stepPrep(ckt *circuit.Circuit, opts sim.Options) (*Evaluator, error) {
-	e, err := sim.New(ckt, opts)
-	if err != nil {
-		return nil, err
-	}
-	var tr sim.Trace
-	run := func(T []float64) (outcome, error) {
-		macros.SetInputWave(ckt, wave.Step{Base: T[0], Elev: T[1], Delay: stepDelay, Rise: stepRise})
-		if err := e.TransientInto(&tr, stepTestTime, 1/stepSampleRate, []string{macros.NodeVout}); err != nil {
-			return outcome{}, err
-		}
-		return outcome{v: tr.Signal(macros.NodeVout)}, nil
-	}
-	return &Evaluator{eng: e, cold: run}, nil
 }
 
 // stepIntegralConfig is configuration #4: step(base, elev), Vout sampled
@@ -442,9 +517,7 @@ func stepIntegralConfig() *Config {
 		},
 		Returns: []Return{{Name: "SumV(Vout)", Unit: "V·s", Accuracy: 7.5e-9}},
 		an:      stepTransient,
-		measure: func(o outcome) ([]float64, error) {
-			return []float64{dsp.Accumulate(o.v, 1/stepSampleRate)}, nil
-		},
+		measure: sumMeasure,
 	}
 }
 
@@ -463,8 +536,6 @@ func stepPeakConfig() *Config {
 		},
 		Returns: []Return{{Name: "Max(Vout)", Unit: "V", Accuracy: 5e-3}},
 		an:      stepTransient,
-		measure: func(o outcome) ([]float64, error) {
-			return []float64{dsp.Max(o.v)}, nil
-		},
+		measure: maxMeasure,
 	}
 }

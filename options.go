@@ -97,7 +97,10 @@ func WithFastBoxes() Option { return WithBoxMode(BoxSeed) }
 // WithLowRankDisabled turns off the retained fault evaluators, forcing
 // every faulty evaluation through the throwaway insert→compile→factor
 // route. It exists for A/B benchmarking and for isolating the solver
-// when debugging.
+// when debugging. Results are not always bit-identical with and without
+// it: the retained evaluators' warm-started impact ladder can end a
+// fault at another critical impact (DESIGN.md §12, "The margin does not
+// hold everywhere").
 func WithLowRankDisabled() Option {
 	return optionFunc(func(c *core.Config) { c.DisableFastPath = true })
 }

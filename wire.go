@@ -201,22 +201,23 @@ func WireMetrics(m Metrics) api.MetricsSnapshot {
 	for _, p := range m.Phases {
 		pm := api.PhaseMetrics{Name: p.Name, Count: p.Count, WallNS: int64(p.Wall)}
 		if p.Latency.Count > 0 {
-			h := wireHistogram(p.Latency)
+			h := WireHistogram(p.Latency)
 			pm.Latency = &h
 		}
 		out.Phases = append(out.Phases, pm)
 	}
 	for _, d := range m.Durations {
 		out.Durations = append(out.Durations, api.NamedHistogram{
-			Name: d.Name, HistogramSnapshot: wireHistogram(d.Snapshot),
+			Name: d.Name, HistogramSnapshot: WireHistogram(d.Snapshot),
 		})
 	}
 	return out
 }
 
-// wireHistogram converts a latency distribution into its wire form,
+// WireHistogram converts a latency distribution into its wire form,
 // precomputing the percentiles so consumers never need quantile logic.
-func wireHistogram(s hist.Snapshot) api.HistogramSnapshot {
+// WireMetrics and the daemon's Prometheus exposition both use it.
+func WireHistogram(s hist.Snapshot) api.HistogramSnapshot {
 	out := api.HistogramSnapshot{
 		Count: s.Count, Sum: s.Sum, Min: s.Min, Max: s.Max,
 		P50: s.P50(), P90: s.P90(), P99: s.P99(),
