@@ -78,7 +78,7 @@ func main() {
 
 		workerMode = flag.Bool("worker", false, "run as a shard worker instead of a daemon")
 		join       = flag.String("join", "", "coordinator base URL to join (worker mode, e.g. http://host:8723)")
-		workerName = flag.String("worker-name", "", "worker label for metrics and journal attribution (default: coordinator-assigned)")
+		workerName = flag.String("worker-name", "", "worker label for metrics and the journal's worker_join record; journal records name the worker by its coordinator-assigned ID (default: that ID)")
 	)
 	flag.Parse()
 

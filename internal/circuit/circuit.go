@@ -11,6 +11,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -201,13 +202,15 @@ func (c *Circuit) NodeVoltage(x []float64, node string) float64 {
 	return x[i]
 }
 
-// HasNode reports whether the node name exists (or is ground).
+// HasNode reports whether the node name exists (or is ground). It
+// scans the device terminals, so it needs no compile and allocates
+// nothing.
 func (c *Circuit) HasNode(node string) bool {
 	if IsGround(node) {
 		return true
 	}
-	for _, n := range c.Nodes() {
-		if n == node {
+	for _, d := range c.devices {
+		if slices.Contains(d.TerminalNames(), node) {
 			return true
 		}
 	}

@@ -167,6 +167,29 @@ func TestHasNode(t *testing.T) {
 	}
 }
 
+// TestHasNodeWithoutAllocation: HasNode answers as a lookup in Nodes does,
+// ground aliases included, without allocating — it runs on every
+// configuration Prepare and twice per bridge insertion.
+func TestHasNodeWithoutAllocation(t *testing.T) {
+	c := divider()
+	nodes := map[string]bool{}
+	for _, n := range c.Nodes() {
+		nodes[n] = true
+	}
+	for _, n := range []string{"in", "mid", "0", "gnd", "GND", "", "xyz", "Mid", "mid "} {
+		if got, want := c.HasNode(n), nodes[n] || IsGround(n); got != want {
+			t.Errorf("HasNode(%q) = %v, want %v", n, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = c.HasNode("mid")
+		_ = c.HasNode("xyz")
+		_ = c.HasNode("gnd")
+	}); n != 0 {
+		t.Fatalf("HasNode allocates %.1f times per call set, want 0", n)
+	}
+}
+
 func TestLayoutIsACopy(t *testing.T) {
 	c := divider()
 	lay, err := c.Compile()

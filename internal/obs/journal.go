@@ -19,6 +19,10 @@ type Journal struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	closed bool
+	// line is the record encoding buffer, reused under mu.
+	line []byte
+	// tee, when set, receives every record line written (see Tee).
+	tee func(typ string, line []byte)
 	// Dropped counts events that arrived after Close — stragglers from
 	// goroutines still winding down on a canceled run.
 	dropped atomic.Uint64
@@ -32,38 +36,41 @@ func NewJournal(w io.Writer) *Journal {
 	return &Journal{bw: bufio.NewWriterSize(w, 64<<10)}
 }
 
-// Emit implements Sink.
+// Emit implements Sink. The record is encoded once (appendEvent: the
+// bytes of json.Marshal(ev)) into a buffer the journal reuses, handed
+// to the tee, and written as one line.
 func (j *Journal) Emit(ev Event) {
-	line, merr := json.Marshal(ev)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		j.dropped.Add(1)
 		return
 	}
+	j.line = appendEvent(j.line[:0], ev)
+	if j.tee != nil {
+		j.tee(ev.Type, j.line)
+	}
 	if j.err != nil {
 		return
 	}
-	if merr != nil {
-		// An unmarshalable attribute must not corrupt the journal: drop
-		// the attrs, keep the record.
-		ev.Attrs = map[string]any{"marshal_error": merr.Error()}
-		line, merr = json.Marshal(ev)
-		if merr != nil {
-			return
-		}
-	}
-	if _, err := j.bw.Write(line); err != nil {
-		j.err = err
-		return
-	}
-	if err := j.bw.WriteByte('\n'); err != nil {
+	j.line = append(j.line, '\n')
+	if _, err := j.bw.Write(j.line); err != nil {
 		j.err = err
 		return
 	}
 	if ev.Type == TypeRunEnd || ev.Type == TypeRunCanceled {
 		j.err = j.bw.Flush()
 	}
+}
+
+// Tee hands every record the journal writes from now on to fn as well:
+// its type and its line without the trailing newline, in journal order,
+// under the journal's lock. fn must neither retain line nor call back
+// into the journal. A write error stops the file, not the tee.
+func (j *Journal) Tee(fn func(typ string, line []byte)) {
+	j.mu.Lock()
+	j.tee = fn
+	j.mu.Unlock()
 }
 
 // Flush forces buffered records out to the underlying writer.

@@ -234,10 +234,13 @@ func TestJournalDropsAfterClose(t *testing.T) {
 }
 
 // TestTracerConcurrent: concurrent spans and events through a journal
-// must produce a valid journal (exercised under -race in CI).
+// must produce a valid journal (exercised under -race in CI), and reach
+// its tee one at a time: the plain counter below races otherwise.
 func TestTracerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
+	teed := 0
+	j.Tee(func(string, []byte) { teed++ })
 	tr := New(j)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -262,6 +265,9 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if st.Spans != 400 {
 		t.Fatalf("spans %d, want 400", st.Spans)
+	}
+	if teed != st.Events {
+		t.Fatalf("tee saw %d records, journal has %d", teed, st.Events)
 	}
 }
 

@@ -78,11 +78,12 @@ type shard struct {
 	reported   int
 }
 
-// shardDelivery hands an accepted result (and the assignment time the
-// journal stitcher needs) to the runner.
+// shardDelivery hands an accepted result (and the delivering worker's
+// ID and the assignment time the journal stitcher needs) to the runner.
 type shardDelivery struct {
 	sh         *shard
 	res        *api.ShardResult
+	worker     string
 	assignedAt time.Time
 }
 
@@ -181,9 +182,11 @@ func (c *coordinator) notifyRunsLocked(name string, attrs ...obs.Attr) {
 	}
 }
 
-// joinAttrs are the attributes of a worker's worker_join event.
+// joinAttrs are the attributes of a worker's worker_join event. Every
+// journal record names a worker by the ID the coordinator minted; its
+// worker_join alone also carries the operator-chosen name.
 func joinAttrs(w *workerState) []obs.Attr {
-	return []obs.Attr{obs.String("worker", w.name), obs.Int("pid", w.pid)}
+	return []obs.Attr{obs.String("worker", w.id), obs.String("name", w.name), obs.Int("pid", w.pid)}
 }
 
 // register admits a worker and mints its identity.
@@ -241,7 +244,7 @@ func (c *coordinator) assign(workerID string) (*shard, bool) {
 	c.assigned[sh.id] = sh
 	c.assignedTotal.Add(1)
 	sh.notify("shard_assign",
-		obs.String("shard", sh.id), obs.String("worker", w.name),
+		obs.String("shard", sh.id), obs.String("worker", w.id),
 		obs.Int("faults", len(sh.faults)), obs.Int("attempt", sh.attempts))
 	return sh, true
 }
@@ -324,9 +327,9 @@ func (c *coordinator) result(workerID string, res *api.ShardResult) resultVerdic
 		progress(delta)
 	}
 	sh.notify("shard_done",
-		obs.String("shard", sh.id), obs.String("worker", res.WorkerID),
+		obs.String("shard", sh.id), obs.String("worker", w.id),
 		obs.Int("solutions", len(res.Solutions)))
-	sh.results <- shardDelivery{sh: sh, res: res, assignedAt: assignedAt}
+	sh.results <- shardDelivery{sh: sh, res: res, worker: w.id, assignedAt: assignedAt}
 	return resultAccepted
 }
 
@@ -361,7 +364,7 @@ func (c *coordinator) reap(now time.Time) {
 			continue
 		}
 		delete(c.workers, id)
-		c.notifyRunsLocked("worker_lost", obs.String("worker", w.name))
+		c.notifyRunsLocked("worker_lost", obs.String("worker", w.id))
 	}
 	if len(rollbacks) > 0 || len(c.pending) > 0 {
 		c.wakeLocked()

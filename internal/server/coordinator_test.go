@@ -12,7 +12,7 @@ import (
 )
 
 // joinRecorder collects the worker_join events a run's journal emitter
-// receives, as "name/pid" strings in arrival order.
+// receives, as "id:name/pid" strings in arrival order.
 type joinRecorder struct {
 	mu    sync.Mutex
 	joins []string
@@ -22,17 +22,19 @@ func (r *joinRecorder) emit(name string, attrs ...obs.Attr) {
 	if name != "worker_join" {
 		return
 	}
-	var worker, pid any
+	var worker, wname, pid any
 	for _, a := range attrs {
 		switch a.Key {
 		case "worker":
 			worker = a.Value
+		case "name":
+			wname = a.Value
 		case "pid":
 			pid = a.Value
 		}
 	}
 	r.mu.Lock()
-	r.joins = append(r.joins, fmt.Sprintf("%v/%v", worker, pid))
+	r.joins = append(r.joins, fmt.Sprintf("%v:%v/%v", worker, wname, pid))
 	r.mu.Unlock()
 }
 
@@ -54,7 +56,7 @@ func TestAttachReplaysRegisteredWorkers(t *testing.T) {
 	c.attach("job1", r.emit)
 	var want []string
 	for i := 1; i <= 10; i++ {
-		want = append(want, fmt.Sprintf("n%d/%d", i, 100+i))
+		want = append(want, fmt.Sprintf("w%d:n%d/%d", i, i, 100+i))
 	}
 	if got := r.got(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker_join on attach = %v, want %v", got, want)
@@ -70,7 +72,7 @@ func TestWorkerJoiningMidJob(t *testing.T) {
 	var r joinRecorder
 	c.attach("job1", r.emit)
 	c.register(api.WorkerHello{Name: "beta", PID: 2})
-	if got, want := r.got(), []string{"alpha/1", "beta/2"}; !reflect.DeepEqual(got, want) {
+	if got, want := r.got(), []string{"w1:alpha/1", "w2:beta/2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker_join events = %v, want %v", got, want)
 	}
 	c.detach("job1")

@@ -11,7 +11,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -186,9 +188,13 @@ func TestDistributedBitIdentical(t *testing.T) {
 		}
 	}
 	// Two two-fault shards across two workers: scheduling may be
-	// lopsided, so only require that at least one named worker shows up.
-	if !strings.Contains(text, `"worker":"alpha"`) && !strings.Contains(text, `"worker":"beta"`) {
+	// lopsided, so only require that at least one worker shows up. The
+	// tag closes the attrs of a stitched record.
+	if !strings.Contains(text, `"worker":"w1"}`) && !strings.Contains(text, `"worker":"w2"}`) {
 		t.Error("stitched journal attributes no spans to any worker")
+	}
+	if joins := reconcileWorkers(t, raw); joins["w1"]+joins["w2"] != "alphabeta" && joins["w1"]+joins["w2"] != "betaalpha" {
+		t.Errorf("worker_join names = %v, want alpha and beta", joins)
 	}
 
 	workers, _, assigned, _, completed := s.DistStats()
@@ -198,6 +204,115 @@ func TestDistributedBitIdentical(t *testing.T) {
 	if assigned < 2 || completed < 2 {
 		t.Errorf("DistStats assigned/completed = %d/%d, want >= 2 each", assigned, completed)
 	}
+}
+
+// TestJournalNamesWorkersByID: a journal names every worker by the ID
+// the coordinator minted, and its worker_join alone carries the
+// operator-chosen name. The workers here are named "w2" and "w1" and
+// register in that order, so each name is the other worker's ID — the
+// naming of the CI distributed job. Every worker named on a
+// shard-tagged record must have a worker_join, and a shard's
+// assignment, delivery and stitched records must name one worker.
+func TestJournalNamesWorkersByID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real ATPG runs; skipped under -short")
+	}
+	s, err := New(distOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	for i, name := range []string{"w2", "w1"} {
+		startTestWorker(t, hs.URL, name, nil)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if workers, _, _, _, _ := s.DistStats(); workers == i+1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %s never registered", name)
+			}
+		}
+	}
+
+	st := submit(t, hs.URL, distRequest())
+	waitSucceeded(t, hs.URL, st.ID)
+	paths, err := s.Store().Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(paths.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joins := reconcileWorkers(t, raw); joins["w1"] != "w2" || joins["w2"] != "w1" || len(joins) != 2 {
+		t.Fatalf("worker_join ID → name = %v, want map[w1:w2 w2:w1]", joins)
+	}
+	// One name per worker per shard: its shard_assign, its shard_done
+	// and the records stitched in from its journal agree (unless a lost
+	// lease moved the shard to the other worker).
+	byShard := make(map[string]map[string]bool)
+	requeued := make(map[string]bool)
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var ev obs.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		shard, _ := ev.Attrs["shard"].(string)
+		if shard == "" {
+			continue
+		}
+		if byShard[shard] == nil {
+			byShard[shard] = make(map[string]bool)
+		}
+		byShard[shard][fmt.Sprint(ev.Attrs["worker"])] = true
+		requeued[shard] = requeued[shard] || ev.Name == "shard_requeue"
+	}
+	if len(byShard) != 2 {
+		t.Fatalf("%d shards in the journal, want 2", len(byShard))
+	}
+	for shard, workers := range byShard {
+		if len(workers) != 1 && !requeued[shard] {
+			t.Errorf("shard %s is attributed to workers %v, want one", shard, workers)
+		}
+	}
+}
+
+// reconcileWorkers checks a distributed job's journal against the
+// reconciliation rule that every worker named on a shard-tagged record
+// has a worker_join, and returns the joined workers' names by ID.
+func reconcileWorkers(t *testing.T, journal []byte) map[string]string {
+	t.Helper()
+	var evs []obs.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var ev obs.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	joins := make(map[string]string)
+	for _, ev := range evs {
+		if ev.Name == "worker_join" {
+			id, _ := ev.Attrs["worker"].(string)
+			name, _ := ev.Attrs["name"].(string)
+			joins[id] = name
+		}
+	}
+	for _, ev := range evs {
+		if _, tagged := ev.Attrs["shard"]; !tagged {
+			continue
+		}
+		if id, _ := ev.Attrs["worker"].(string); id == "" || joins[id] == "" {
+			t.Errorf("%s %q names worker %v, which has no worker_join", ev.Type, ev.Name, ev.Attrs["worker"])
+		}
+	}
+	return joins
 }
 
 // crashingTransport fails every shard-result delivery and kills its

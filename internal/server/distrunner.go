@@ -70,7 +70,7 @@ type stitchEntry struct {
 }
 
 // executeSharded runs one job in distributed mode. The coordinator-side
-// journal accumulates in memory (teeing live events to the SSE hub as
+// journal accumulates in memory (teeing its records to the SSE hub as
 // usual); at the end the worker journals are stitched into it in shard
 // order and the whole thing is written as the job journal.
 func (s *Server) executeSharded(ctx context.Context, j *Job, resume bool) (err error) {
@@ -84,7 +84,8 @@ func (s *Server) executeSharded(ctx context.Context, j *Job, resume bool) (err e
 		delta = repro.DefaultCompactOptions().Delta
 	}
 
-	tracer := obs.New(multiSink{journal, j.hub},
+	journal.Tee(j.hub.Publish)
+	tracer := obs.New(journal,
 		obs.String("cmd", "atpgd"),
 		obs.String("job", j.ID),
 		obs.F64("delta", delta),
@@ -124,13 +125,12 @@ func (s *Server) executeSharded(ctx context.Context, j *Job, resume bool) (err e
 		for i, st := range stitches {
 			shardJournals[i] = st.sj
 		}
-		var out bytes.Buffer
-		if serr := obs.Stitch(&out, jbuf.Bytes(), shardJournals); serr != nil {
+		out, serr := obs.Stitch(jbuf.Bytes(), shardJournals)
+		if serr != nil {
 			fmt.Fprintf(os.Stderr, "atpgd: job %s: journal stitch: %v (keeping coordinator journal)\n", j.ID, serr)
-			out.Reset()
-			out.Write(jbuf.Bytes())
+			out = jbuf.Bytes()
 		}
-		if werr := writeFileAtomic(j.paths.Journal, out.Bytes()); werr != nil && err == nil {
+		if werr := writeFileAtomic(j.paths.Journal, out); werr != nil && err == nil {
 			err = werr
 		}
 	}()
@@ -223,7 +223,7 @@ func (s *Server) executeSharded(ctx context.Context, j *Job, resume bool) (err e
 			if d.res.Journal != "" {
 				stitches = append(stitches, stitchEntry{seq: d.sh.seq, sj: obs.ShardJournal{
 					Shard:    d.sh.id,
-					Worker:   d.res.WorkerID,
+					Worker:   d.worker,
 					OffsetNS: d.assignedAt.Sub(t0).Nanoseconds(),
 					Data:     []byte(d.res.Journal),
 				}})

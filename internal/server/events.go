@@ -1,41 +1,50 @@
 package server
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
-// Hub is a fan-out obs.Sink: every trace event of a job is broadcast to
-// the subscribed SSE streams. Emit never blocks the producing run — a
-// subscriber that stops draining loses events (its channel buffer
-// overflows and events are dropped), which is the right trade for a
-// monitoring stream riding on top of the authoritative journal file.
-// Dropped events are counted (Dropped), so a lossy stream is visible in
-// the job status instead of silently incomplete.
+// Hub fans a job's journal records out to the subscribed SSE streams.
+// It is the journal's tee (obs.Journal.Tee), so a stream carries the
+// journal's own lines, in journal order. Publish never blocks the
+// producing run — a subscriber that stops draining loses records (its
+// channel buffer overflows and records are dropped), which is the right
+// trade for a monitoring stream riding on top of the authoritative
+// journal file. Dropped records are counted (Dropped), so a lossy
+// stream is visible in the job status instead of silently incomplete.
 type Hub struct {
 	mu      sync.Mutex
-	subs    map[chan obs.Event]struct{}
+	subs    map[chan frame]struct{}
 	closed  bool
 	dropped atomic.Uint64
 }
 
-// NewHub returns an open hub with no subscribers.
-func NewHub() *Hub {
-	return &Hub{subs: make(map[chan obs.Event]struct{})}
+// frame is one journal record on its way to the SSE streams: the record
+// type names the SSE event, the line is its data.
+type frame struct {
+	typ  string
+	line []byte
 }
 
-// Emit implements obs.Sink.
-func (h *Hub) Emit(ev obs.Event) {
+// NewHub returns an open hub with no subscribers.
+func NewHub() *Hub {
+	return &Hub{subs: make(map[chan frame]struct{})}
+}
+
+// Publish broadcasts one journal record line. The hub copies the line
+// once when someone subscribes and shares the copy among the streams.
+func (h *Hub) Publish(typ string, line []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || len(h.subs) == 0 {
 		return
 	}
+	fr := frame{typ: typ, line: bytes.Clone(line)}
 	for ch := range h.subs {
 		select {
-		case ch <- ev:
+		case ch <- fr:
 		default:
 			// Slow subscriber: drop, never block the run.
 			h.dropped.Add(1)
@@ -43,18 +52,18 @@ func (h *Hub) Emit(ev obs.Event) {
 	}
 }
 
-// Dropped returns the number of events lost to slow subscribers over
+// Dropped returns the number of records lost to slow subscribers over
 // the hub's lifetime.
 func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
 
-// Subscribe registers a buffered event stream and returns it with its
+// Subscribe registers a buffered record stream and returns it with its
 // cancel function. On a closed hub the returned channel is already
 // closed (the job is over; the journal file has the full record).
-func (h *Hub) Subscribe(buf int) (<-chan obs.Event, func()) {
+func (h *Hub) Subscribe(buf int) (<-chan frame, func()) {
 	if buf <= 0 {
 		buf = 256
 	}
-	ch := make(chan obs.Event, buf)
+	ch := make(chan frame, buf)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -73,7 +82,7 @@ func (h *Hub) Subscribe(buf int) (<-chan obs.Event, func()) {
 }
 
 // Close seals the hub: all subscriber channels are closed (ending their
-// SSE streams) and later Emits are dropped.
+// SSE streams) and later records are dropped.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -84,15 +93,5 @@ func (h *Hub) Close() {
 	for ch := range h.subs {
 		delete(h.subs, ch)
 		close(ch)
-	}
-}
-
-// multiSink tees trace events to several sinks (journal file + hub).
-type multiSink []obs.Sink
-
-// Emit implements obs.Sink.
-func (m multiSink) Emit(ev obs.Event) {
-	for _, s := range m {
-		s.Emit(ev)
 	}
 }

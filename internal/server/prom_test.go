@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/obs"
 	"repro/internal/obs/export"
 )
 
@@ -140,7 +139,7 @@ func TestEventsDroppedSurfaced(t *testing.T) {
 		_, unsub := j.hub.Subscribe(1)
 		defer unsub()
 		for i := 0; i < 10; i++ {
-			j.hub.Emit(obs.Event{Type: "spam"})
+			j.hub.Publish("spam", []byte(`{"ts":0,"type":"spam"}`))
 		}
 		<-release
 		return writeFileAtomic(j.paths.Result, []byte("{}\n"))

@@ -42,7 +42,8 @@ func (s *Server) execute(ctx context.Context, j *Job, resume bool) (err error) {
 		delta = repro.DefaultCompactOptions().Delta
 	}
 
-	tracer := obs.New(multiSink{journal, j.hub},
+	journal.Tee(j.hub.Publish)
+	tracer := obs.New(journal,
 		obs.String("cmd", "atpgd"),
 		obs.String("job", j.ID),
 		obs.F64("delta", delta))

@@ -701,7 +701,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Leading status frame so a late subscriber learns where the job is
 	// even when no further trace events arrive.
-	writeSSE(w, "status", j.Status())
+	buf := writeStatusSSE(w, nil, j)
 	fl.Flush()
 
 	ch, unsub := j.hub.Subscribe(256)
@@ -710,10 +710,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, open := <-ch:
+		case fr, open := <-ch:
 			if !open {
 				// Hub closed: the job reached a terminal state.
-				writeSSE(w, "status", j.Status())
+				writeStatusSSE(w, buf, j)
 				fl.Flush()
 				return
 			}
@@ -721,7 +721,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// stalls the subscriber so the hub's bounded buffer fills and
 			// drops (atpgd_sse_events_dropped_total) become observable.
 			_ = fpSSEWrite.Hit()
-			writeSSE(w, ev.Type, ev)
+			buf = writeSSE(w, buf, fr.typ, fr.line)
 			fl.Flush()
 		}
 	}
@@ -792,13 +792,21 @@ func writeError(w http.ResponseWriter, code int, msg string, retryAfter time.Dur
 	_, _ = w.Write(b)
 }
 
-// writeSSE writes one server-sent event frame. Multi-line payloads are
-// impossible here (JSON encoding without indentation), so a single data
-// line suffices.
-func writeSSE(w http.ResponseWriter, event string, v any) {
-	b, err := json.Marshal(v)
+// writeSSE writes one server-sent event frame, assembled in buf, and
+// returns buf for reuse. data is one line of JSON (a journal record or
+// a compact status), so a single data line suffices.
+func writeSSE(w http.ResponseWriter, buf []byte, event string, data []byte) []byte {
+	buf = append(append(buf[:0], "event: "...), event...)
+	buf = append(append(append(buf, "\ndata: "...), data...), "\n\n"...)
+	_, _ = w.Write(buf)
+	return buf
+}
+
+// writeStatusSSE writes the job's status as a "status" frame.
+func writeStatusSSE(w http.ResponseWriter, buf []byte, j *Job) []byte {
+	b, err := json.Marshal(j.Status())
 	if err != nil {
-		return
+		return buf
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+	return writeSSE(w, buf, "status", b)
 }

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -281,7 +283,8 @@ func TestCancelMidJobSealsJournal(t *testing.T) {
 			return err
 		}
 		journal := obs.NewJournal(jf)
-		tracer := obs.New(multiSink{journal, j.hub}, obs.String("cmd", "atpgd"), obs.String("job", j.ID))
+		journal.Tee(j.hub.Publish)
+		tracer := obs.New(journal, obs.String("cmd", "atpgd"), obs.String("job", j.ID))
 		_, span := tracer.Start(ctx, "generate-all")
 		started <- struct{}{}
 		<-ctx.Done()
@@ -372,7 +375,9 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestEventsSSE(t *testing.T) {
 	exec := func(ctx context.Context, j *Job, resume bool) error {
-		tracer := obs.New(j.hub, obs.String("job", j.ID))
+		journal := obs.NewJournal(io.Discard)
+		journal.Tee(j.hub.Publish)
+		tracer := obs.New(journal, obs.String("job", j.ID))
 		tracer.Emit("heartbeat", obs.Int("n", 1))
 		tracer.Finish(nil)
 		return instantExec(ctx, j, resume)
@@ -400,6 +405,86 @@ func TestEventsSSE(t *testing.T) {
 	}
 	if len(events) < 2 || events[0] != "status" || events[len(events)-1] != "status" {
 		t.Fatalf("events = %v, want status frames bracketing the stream", events)
+	}
+}
+
+// TestEventsSSECarriesJournalLines: a stream subscribed while the job
+// runs receives every journal record, in journal order, as the data of
+// a frame named by the record type — the journal file's own bytes.
+func TestEventsSSECarriesJournalLines(t *testing.T) {
+	exec := func(ctx context.Context, j *Job, resume bool) error {
+		// Start the run only once the stream below has subscribed.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			j.hub.mu.Lock()
+			n := len(j.hub.subs)
+			j.hub.mu.Unlock()
+			if n > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("no SSE subscriber after 10s")
+			}
+		}
+		jf, err := os.Create(j.paths.Journal)
+		if err != nil {
+			return err
+		}
+		journal := obs.NewJournal(jf)
+		journal.Tee(j.hub.Publish)
+		tracer := obs.New(journal, obs.String("job", j.ID), obs.F64("delta", 0.1))
+		sctx, sp := tracer.Start(ctx, "generate", obs.String("fault", `bridge:"a"<b>&c`))
+		tracer.Event(sctx, "impact_step", obs.F64("impact", 1e-7), obs.Int("step", 2))
+		tracer.Complete("sim.op", time.Microsecond, obs.I64("stamps", 12))
+		sp.End(obs.Bool("ok", true))
+		tracer.Finish(nil, obs.Any("metrics", map[string]int{"b": 2, "a": 1}))
+		if err := journal.Close(); err != nil {
+			return err
+		}
+		if err := jf.Close(); err != nil {
+			return err
+		}
+		return instantExec(ctx, j, resume)
+	}
+	s, hs := newTestServer(t, Options{}, exec)
+	st := submit(t, hs.URL, api.JobRequest{V: 1})
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var types, data []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		switch line := sc.Text(); {
+		case strings.HasPrefix(line, "event: "):
+			types = append(types, strings.TrimPrefix(line, "event: "))
+		case strings.HasPrefix(line, "data: "):
+			data = append(data, strings.TrimPrefix(line, "data: "))
+		}
+	}
+	if len(types) < 2 || len(types) != len(data) || types[0] != "status" || types[len(types)-1] != "status" {
+		t.Fatalf("frames %v, want status frames bracketing the records", types)
+	}
+	paths, err := s.Store().Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(paths.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if got := data[1 : len(data)-1]; !reflect.DeepEqual(got, lines) {
+		t.Fatalf("SSE records differ from the journal:\n sse     %q\n journal %q", got, lines)
+	}
+	for i, line := range lines {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if types[i+1] != ev.Type {
+			t.Errorf("frame %d named %q, record type %q", i+1, types[i+1], ev.Type)
+		}
 	}
 }
 

@@ -102,18 +102,19 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// postJSON posts body (encoded with api.Encode) and decodes a JSON
-// reply into out when non-nil. Returns the HTTP status.
+// postJSON posts body, encoded compactly by json.Marshal, and decodes a
+// JSON reply into out when non-nil. Returns the HTTP status. The
+// coordinator is a program, not a reader: indenting would only copy a
+// shard result's embedded journal once more.
 func postJSON(ctx context.Context, c *http.Client, url string, body, out any) (int, error) {
-	var buf bytes.Buffer
+	var b []byte
 	if body != nil {
-		b, err := api.Encode(body)
-		if err != nil {
-			return 0, err
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			return 0, fmt.Errorf("server: encode %T: %w", body, err)
 		}
-		buf.Write(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
 	if err != nil {
 		return 0, err
 	}
@@ -199,18 +200,13 @@ func workerServe(ctx context.Context, o WorkerOptions, base string, w api.Worker
 // keeping the lease alive while the engine works.
 func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, sr api.ShardRequest) (*api.ShardResult, error) {
 	start := time.Now()
-	name := o.Name
-	if name == "" {
-		name = w.WorkerID
-	}
-
 	var jbuf bytes.Buffer
 	journal := obs.NewJournal(&jbuf)
 	tracer := obs.New(journal,
 		obs.String("cmd", "atpgd-worker"),
 		obs.String("job", sr.JobID),
 		obs.String("shard", sr.ShardID),
-		obs.String("worker", name))
+		obs.String("worker", w.WorkerID))
 	prog := obs.NewProgress()
 
 	sys, err := repro.SystemFromRequest(ctx, sr.Request,
