@@ -567,33 +567,31 @@ func (s *Session) GenerateAll(faults []fault.Fault) ([]*Solution, error) {
 // Failure semantics (see DESIGN.md §10): a panic inside a task is
 // recovered at the task boundary and quarantines only that fault×config
 // pair — the run completes and Quarantined() reports the isolation.
-// With Config.CheckpointPath set, completed per-fault results are
-// periodically persisted (atomic rename + fsync), and with Config.Resume
-// faults already present in a compatible checkpoint are skipped.
+// The run is a MergeRun that the schedule fills: with
+// Config.CheckpointPath set, completed per-fault results are
+// periodically persisted (atomic rename + fsync), and with
+// Config.Resume faults already present in a compatible checkpoint are
+// skipped.
 func (s *Session) GenerateAllContext(ctx context.Context, faults []fault.Fault) ([]*Solution, error) {
+	m, err := s.OpenMerge(faults)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.generate(ctx, m.Pending(), m.add); err != nil {
+		m.Flush()
+		return nil, err
+	}
+	return m.Solutions()
+}
+
+// generate runs the fused schedule over faults and returns their
+// solutions in input order. Each solution is handed to record, when
+// non-nil, as soon as its fault finishes.
+func (s *Session) generate(ctx context.Context, faults []fault.Fault, record func(*Solution)) ([]*Solution, error) {
 	nc := len(s.configs)
 	ctx, sp := s.tr.Start(ctx, "generate-all",
 		obs.Int("faults", len(faults)), obs.Int("configs", nc))
 	defer sp.End()
-
-	cs, resumed, err := s.openCheckpoint(faults)
-	if err != nil {
-		return nil, err
-	}
-	sols := make([]*Solution, len(faults))
-	skip := make([]bool, len(faults))
-	nSkip := 0
-	for fi, f := range faults {
-		if sol, ok := resumed[f.ID()]; ok {
-			sols[fi] = sol
-			skip[fi] = true
-			nSkip++
-		}
-	}
-	if nSkip > 0 {
-		s.prog.AddResumed(nSkip)
-		s.tr.Emit("resume", obs.Int("skipped", nSkip), obs.Int("total", len(faults)))
-	}
 
 	// Steps 1 and 2 fused: one optimization task per (fault,
 	// configuration) pair — the unit of work the pool balances — and the
@@ -604,7 +602,8 @@ func (s *Session) GenerateAllContext(ctx context.Context, faults []fault.Fault) 
 	// not from the last full phase boundary. Results are identical to the
 	// two-phase schedule — each selection consumes exactly its own
 	// fault's completed candidates.
-	s.prog.SetPhase(PhaseGenerate, len(faults)*nc+(len(faults)-nSkip))
+	s.prog.SetPhase(PhaseGenerate, len(faults)*(nc+1))
+	sols := make([]*Solution, len(faults))
 	cands := make([]Candidate, len(faults)*nc)
 	pending := make([]atomic.Int32, len(faults))
 	// starts[fi] is the wall-clock nanosecond at which the first task of
@@ -615,12 +614,9 @@ func (s *Session) GenerateAllContext(ctx context.Context, faults []fault.Fault) 
 	for fi := range pending {
 		pending[fi].Store(int32(nc))
 	}
-	err = s.eng.ForEach(ctx, len(faults)*nc, func(ctx context.Context, k int) error {
+	err := s.eng.ForEach(ctx, len(faults)*nc, func(ctx context.Context, k int) error {
 		defer s.prog.Step(1)
 		fi, ci := k/nc, k%nc
-		if skip[fi] {
-			return nil
-		}
 		starts[fi].CompareAndSwap(0, time.Now().UnixNano())
 		err := s.eng.Recover(k, func() error {
 			c, err := s.optimizeCandidate(ctx, faults[fi], ci)
@@ -640,29 +636,23 @@ func (s *Session) GenerateAllContext(ctx context.Context, faults []fault.Fault) 
 		if pending[fi].Add(-1) != 0 {
 			return nil
 		}
-		ferr := s.finishFault(ctx, faults[fi], cands[fi*nc:(fi+1)*nc], sols, fi, cs)
+		ferr := s.finishFault(ctx, faults[fi], cands[fi*nc:(fi+1)*nc], sols, fi, record)
 		if t0 := starts[fi].Load(); t0 != 0 {
 			s.eng.Observe(PhaseFaultE2E, time.Duration(time.Now().UnixNano()-t0))
 		}
 		return ferr
 	})
 	if err != nil {
-		flushCheckpoint(cs)
 		return nil, err
-	}
-	if cs != nil {
-		if ferr := cs.flush(); ferr != nil {
-			return sols, fmt.Errorf("core: final checkpoint: %w", ferr)
-		}
 	}
 	return sols, nil
 }
 
 // finishFault runs the selection loop for one fault whose candidates
-// are all complete, records the solution in the checkpoint, and steps
-// the per-fault progress unit. A panic inside selection quarantines the
+// are all complete, hands the solution to record, and steps the
+// per-fault progress unit. A panic inside selection quarantines the
 // whole fault.
-func (s *Session) finishFault(ctx context.Context, f fault.Fault, cands []Candidate, sols []*Solution, fi int, cs *ckptState) error {
+func (s *Session) finishFault(ctx context.Context, f fault.Fault, cands []Candidate, sols []*Solution, fi int, record func(*Solution)) error {
 	defer s.prog.Step(1)
 	err := s.eng.Recover(fi, func() error {
 		sol, err := s.selectTest(ctx, f, cands)
@@ -690,18 +680,10 @@ func (s *Session) finishFault(ctx context.Context, f fault.Fault, cands []Candid
 		// evaluation failed; a CrossCheck mismatch must fail the run.
 		return fmt.Errorf("core: fault %s: %w", f.ID(), err)
 	}
-	if cs != nil {
-		cs.record(sols[fi])
+	if record != nil {
+		record(sols[fi])
 	}
 	return nil
-}
-
-// flushCheckpoint best-effort persists the checkpoint on an abort path,
-// so a canceled or failed run still resumes from its completed faults.
-func flushCheckpoint(cs *ckptState) {
-	if cs != nil {
-		_ = cs.flush() // the abort error takes precedence; flush errors are journaled
-	}
 }
 
 // Distribution tabulates how many faults of each kind selected each

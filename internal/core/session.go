@@ -63,9 +63,6 @@ type Config struct {
 	// Workers bounds the parallelism of evaluation (default:
 	// runtime.GOMAXPROCS(0)).
 	Workers int
-	// CacheEntries bounds the nominal-response cache size (total entries
-	// across shards; default 65536).
-	CacheEntries int
 	// OptTol is the optimizer tolerance (default 1e-3).
 	OptTol float64
 	// SoftImpactFactor is the impact-weakening factor applied before
@@ -277,12 +274,9 @@ func NewSessionContext(ctx context.Context, golden *circuit.Circuit, configs []*
 		cfg:     cfg,
 		tr:      cfg.Tracer,
 		prog:    cfg.Progress,
-		eng: engine.New(engine.Options{
-			Workers:      cfg.Workers,
-			CacheEntries: cfg.CacheEntries,
-		}),
-		memo: newAnalysisMemo(),
-		pool: newEvalPool(),
+		eng:     engine.New(engine.Options{Workers: cfg.Workers}),
+		memo:    newAnalysisMemo(),
+		pool:    newEvalPool(),
 	}
 	s.groups, s.groupOf, s.memberOf = groupConfigs(configs)
 	s.eng.SetTracer(cfg.Tracer)

@@ -12,22 +12,22 @@ import (
 // This file is the generation core's distributed seam. A coordinator
 // partitions the fault dictionary, ships each shard (as fault IDs plus
 // the originating request) to a worker, and folds the workers' records
-// back into one run through a MergeRun. Both halves reuse the
-// checkpoint machinery: GenerateShardContext is a thin shard-tagged
-// wrapper over GenerateAllContext, and MergeRun is openCheckpoint's
-// record map fed from the wire instead of from the local pool — which
-// is what makes a distributed run byte-identical to a local one, and a
-// coordinator restart resume from whatever shards had already merged.
+// back into one run through a MergeRun. A local GenerateAllContext is a
+// MergeRun too, filled by the session's own schedule, so both share
+// one checkpoint and resume path — which is what makes a distributed
+// run byte-identical to a local one, and a coordinator restart resume
+// from whatever shards had already merged.
 
 // GenerateShardContext generates tests for one shard of a distributed
-// run: GenerateAllContext restricted to the given faults, wrapped in a
-// "shard" span so the worker's journal attributes its work. The session
-// should have checkpointing disabled — durability of a distributed run
-// lives in the coordinator's merge checkpoint, not on workers.
+// run: the fused schedule of GenerateAllContext over the given faults,
+// wrapped in a "shard" span so the worker's journal attributes its
+// work. It never opens the session's checkpoint — durability of a
+// distributed run lives in the coordinator's merge checkpoint, not in
+// its shards.
 func (s *Session) GenerateShardContext(ctx context.Context, shardID string, faults []fault.Fault) ([]*Solution, error) {
 	ctx, sp := s.tr.Start(ctx, "shard",
 		obs.String("shard", shardID), obs.Int("faults", len(faults)))
-	sols, err := s.GenerateAllContext(ctx, faults)
+	sols, err := s.generate(ctx, faults, nil)
 	sp.End(obs.Bool("ok", err == nil))
 	return sols, err
 }
@@ -68,22 +68,21 @@ func FaultsByID(faults []fault.Fault, ids []string) ([]fault.Fault, error) {
 	return out, nil
 }
 
-// MergeRun accumulates per-fault records of a distributed run and
-// rebuilds the dictionary-ordered solution slice a local
-// GenerateAllContext would have produced. It shares the session's
-// checkpoint machinery: with Config.CheckpointPath set, merged records
-// persist with the same debounce and atomic-rename discipline as local
-// runs, and with Config.Resume a compatible checkpoint pre-fills
-// already-solved faults — so a restarted coordinator reshards only the
-// remainder. The checkpoint fingerprint ignores worker count and
-// sharding entirely, so a single-node checkpoint resumes into a
-// distributed run and vice versa.
+// MergeRun accumulates the per-fault solutions of one generation run —
+// computed by the session's own schedule (GenerateAllContext) or
+// delivered as shard records — and rebuilds the dictionary-ordered
+// solution slice. It owns the session's checkpoint: with
+// Config.CheckpointPath set, solutions persist as they arrive (debounced
+// atomic rename), and with Config.Resume a compatible checkpoint
+// pre-fills already-solved faults — so a resumed run computes, and a
+// restarted coordinator reshards, only the remainder. The checkpoint
+// fingerprint ignores worker count and sharding entirely, so a
+// single-node checkpoint resumes into a distributed run and vice versa.
 //
 // MergeRun is safe for concurrent use; duplicate records for a fault
 // are ignored (results are deterministic, so the first merged record is
 // as good as any).
 type MergeRun struct {
-	s      *Session
 	faults []fault.Fault
 	index  map[string]int
 	cs     *ckptState
@@ -93,15 +92,15 @@ type MergeRun struct {
 	done int
 }
 
-// OpenMerge starts the coordinator side of a distributed run over the
-// given fault dictionary slice.
+// OpenMerge starts a generation run over the given fault dictionary
+// slice: the coordinator side of a distributed run, or the bookkeeping
+// of a local one.
 func (s *Session) OpenMerge(faults []fault.Fault) (*MergeRun, error) {
 	cs, resumed, err := s.openCheckpoint(faults)
 	if err != nil {
 		return nil, err
 	}
 	m := &MergeRun{
-		s:      s,
 		faults: faults,
 		index:  make(map[string]int, len(faults)),
 		cs:     cs,
@@ -146,24 +145,29 @@ func (m *MergeRun) Remaining() int {
 // debounced checkpoint. Records for faults outside the dictionary are
 // an error; records for already-solved faults are ignored.
 func (m *MergeRun) Record(rec SolutionRecord) error {
-	m.mu.Lock()
 	fi, ok := m.index[rec.FaultID]
 	if !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("core: merge: record for unknown fault %q", rec.FaultID)
 	}
+	m.add(rec.solution(m.faults[fi]))
+	return nil
+}
+
+// add folds one fault's solution into the run and feeds the debounced
+// checkpoint, unless the fault is solved already.
+func (m *MergeRun) add(sol *Solution) {
+	fi := m.index[sol.Fault.ID()]
+	m.mu.Lock()
 	if m.sols[fi] != nil {
 		m.mu.Unlock()
-		return nil
+		return
 	}
-	sol := rec.solution(m.faults[fi])
 	m.sols[fi] = sol
 	m.done++
 	m.mu.Unlock()
 	if m.cs != nil {
 		m.cs.record(sol)
 	}
-	return nil
 }
 
 // Solutions returns the complete dictionary-ordered solutions and
@@ -187,6 +191,10 @@ func (m *MergeRun) Solutions() ([]*Solution, error) {
 }
 
 // Flush best-effort persists the merge checkpoint — the abort-path
-// twin of Solutions, so a canceled or failed distributed run still
-// resumes from its merged faults.
-func (m *MergeRun) Flush() { flushCheckpoint(m.cs) }
+// twin of Solutions, so a canceled or failed run still resumes from
+// its completed faults.
+func (m *MergeRun) Flush() {
+	if m.cs != nil {
+		_ = m.cs.flush() // the abort error takes precedence; flush errors are journaled
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -170,5 +172,59 @@ func TestFaultsByID(t *testing.T) {
 	}
 	if _, err := FaultsByID(faults, []string{"bogus"}); err == nil {
 		t.Fatal("unknown fault id accepted")
+	}
+}
+
+// TestGenerateShardLeavesCheckpoint: a shard run never opens the
+// session's checkpoint. The file a merge run wrote stays byte for byte
+// across GenerateShardContext, and with Resume set the shard still
+// runs instead of failing on the merge's fingerprint (a shard's fault
+// set never matches the merge's).
+func TestGenerateShardLeavesCheckpoint(t *testing.T) {
+	faults := fastFaultMix()
+	path := filepath.Join(t.TempDir(), "merge.ckpt")
+	mk := func(resume bool) *Session {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.BoxMode = BoxSeed
+		cfg.Workers = 4
+		cfg.CheckpointPath = path
+		cfg.Resume = resume
+		s, err := NewSession(macros.IVConverter(), testcfg.IVConfigs()[:2], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	s := mk(false)
+	merge, err := s.OpenMerge(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merge.Record(SolutionRecord{FaultID: faults[0].ID(), ConfigIdx: -1, Undetermined: true}); err != nil {
+		t.Fatal(err)
+	}
+	merge.Flush()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, s := range []*Session{s, mk(true)} {
+		sols, err := s.GenerateShardContext(context.Background(), "t/s1", faults[2:])
+		if err != nil {
+			t.Fatalf("resume %v: %v", s.cfg.Resume, err)
+		}
+		if len(sols) != 2 || sols[0] == nil || sols[1] == nil {
+			t.Fatalf("resume %v: %d solutions, want 2", s.cfg.Resume, len(sols))
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("resume %v: the shard rewrote the session checkpoint:\n got %s\nwant %s", s.cfg.Resume, got, want)
+		}
 	}
 }

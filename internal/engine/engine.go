@@ -41,14 +41,16 @@ type Options struct {
 	// Workers bounds the parallelism of ForEach. Default (and any value
 	// <= 0): runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries bounds the total number of cached responses across
-	// all shards (default 65536). The bound is approximate: it is
-	// enforced per shard.
-	CacheEntries int
-	// CacheShards is the shard count, rounded up to a power of two
-	// (default 32). More shards mean less lock contention.
-	CacheShards int
 }
+
+// cacheEntries bounds the total number of cached responses across all
+// shards of the engine's cache; the bound is approximate, enforced per
+// shard. cacheShards is its shard count: more shards mean less lock
+// contention.
+const (
+	cacheEntries = 1 << 16
+	cacheShards  = 32
+)
 
 // Engine is a reusable evaluation substrate: a worker pool, a response
 // cache and a metrics registry. An Engine is safe for concurrent use.
@@ -74,7 +76,7 @@ func New(o Options) *Engine {
 	}
 	return &Engine{
 		workers: o.Workers,
-		cache:   NewCache[[]float64](o.CacheEntries, o.CacheShards),
+		cache:   NewCache[[]float64](cacheEntries, cacheShards),
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // under -race this must be silent — the snapshot-while-running
 // guarantee of the observability layer.
 func TestMetricsSnapshotWhileRunning(t *testing.T) {
-	e := New(Options{Workers: 4, CacheEntries: 256})
+	e := New(Options{Workers: 4})
 	col := &obs.Collector{}
 	e.SetTracer(obs.New(col))
 

@@ -78,6 +78,19 @@ type shard struct {
 	reported   int
 }
 
+// request is the shard's wire form, as a worker receives it.
+func (sh *shard) request() api.ShardRequest {
+	return api.ShardRequest{
+		V:        api.Version,
+		JobID:    sh.jobID,
+		ShardID:  sh.id,
+		Seq:      sh.seq,
+		Total:    sh.total,
+		FaultIDs: sh.faults,
+		Request:  sh.req,
+	}
+}
+
 // shardDelivery hands an accepted result (and the delivering worker's
 // ID and the assignment time the journal stitcher needs) to the runner.
 type shardDelivery struct {
@@ -532,17 +545,8 @@ func (s *Server) handleWorkerPoll(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if sh != nil {
-			sr := api.ShardRequest{
-				V:        api.Version,
-				JobID:    sh.jobID,
-				ShardID:  sh.id,
-				Seq:      sh.seq,
-				Total:    sh.total,
-				FaultIDs: sh.faults,
-				Request:  sh.req,
-			}
 			w.Header().Set("Content-Type", "application/json")
-			writeWire(w, sr)
+			writeWire(w, sh.request())
 			return
 		}
 		remain := time.Until(deadline)

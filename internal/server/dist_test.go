@@ -382,14 +382,14 @@ func TestDistributedWorkerDeathRequeues(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("result after worker death differs from single-node run")
 	}
-	jf, err := os.Open(paths.Journal)
+	raw, err := os.ReadFile(paths.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jf.Close()
-	if _, err := obs.Validate(jf); err != nil {
+	if _, err := obs.Validate(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("journal invalid after worker death: %v", err)
 	}
+	reconcileWorkers(t, raw)
 }
 
 // TestDistributedScavengeFallback runs a distributed daemon with no
@@ -439,6 +439,9 @@ func TestDistributedScavengeFallback(t *testing.T) {
 	if _, err := obs.Validate(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("journal invalid after scavenging: %v", err)
 	}
+	if joins := reconcileWorkers(t, raw); joins[localWorker] != localWorker {
+		t.Errorf("worker_join names = %v, want the local fallback", joins)
+	}
 }
 
 // TestDistributedCoordinatorRestartReshards crashes the coordinator
@@ -446,6 +449,23 @@ func TestDistributedScavengeFallback(t *testing.T) {
 // checkpoint must confine resharding to the unsolved remainder and the
 // final bytes must match the single-node run.
 func TestDistributedCoordinatorRestartReshards(t *testing.T) {
+	restartCoordinator(t, true)
+}
+
+// TestDistributedRestartScavenges restarts the crashed coordinator
+// with no worker at all: the recovered job resumes from the merge
+// checkpoint and its fallback computes the remainder, which must not
+// trip over the resumed session's checkpoint.
+func TestDistributedRestartScavenges(t *testing.T) {
+	restartCoordinator(t, false)
+}
+
+// restartCoordinator kills a coordinator with one worker once the job's
+// checkpoint exists (or the job finished first — then the restart path
+// simply serves it), restarts it over the same data directory, with one
+// fresh worker or with none and a short FallbackGrace, and requires the
+// single-node bytes and a valid, reconciled journal.
+func restartCoordinator(t *testing.T, withWorker bool) {
 	if testing.Short() {
 		t.Skip("real ATPG runs; skipped under -short")
 	}
@@ -464,8 +484,6 @@ func TestDistributedCoordinatorRestartReshards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash once the first merged shard has been checkpointed (or the
-	// job finished first — then the restart path simply serves it).
 	deadline := time.Now().Add(4 * time.Minute)
 	for time.Now().Before(deadline) {
 		if _, err := os.Stat(paths.Checkpoint); err == nil {
@@ -480,7 +498,11 @@ func TestDistributedCoordinatorRestartReshards(t *testing.T) {
 	s1.Kill()
 	hs1.Close()
 
-	s2, err := New(distOptions(dir))
+	opt := distOptions(dir)
+	if !withWorker {
+		opt.FallbackGrace = 200 * time.Millisecond
+	}
+	s2, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +513,9 @@ func TestDistributedCoordinatorRestartReshards(t *testing.T) {
 		defer cancel()
 		_ = s2.Shutdown(ctx)
 	}()
-	startTestWorker(t, hs2.URL, "gen2", nil)
+	if withWorker {
+		startTestWorker(t, hs2.URL, "gen2", nil)
+	}
 
 	waitSucceeded(t, hs2.URL, st.ID)
 	got, err := os.ReadFile(paths.Result)
@@ -501,12 +525,12 @@ func TestDistributedCoordinatorRestartReshards(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("restarted coordinator result differs from single-node run")
 	}
-	jf, err := os.Open(paths.Journal)
+	raw, err := os.ReadFile(paths.Journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jf.Close()
-	if _, err := obs.Validate(jf); err != nil {
+	if _, err := obs.Validate(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("journal invalid after coordinator restart: %v", err)
 	}
+	reconcileWorkers(t, raw)
 }

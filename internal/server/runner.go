@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"repro"
@@ -18,7 +19,10 @@ import (
 // result. It is the server-side twin of cmd/atpg's run() — both paths
 // construct the session via SystemFromRequest and encode the outcome
 // via WireResult + api.Encode, which is what makes a server job's
-// result byte-identical to the equivalent CLI run's.
+// result byte-identical to the equivalent CLI run's. On a coordinator
+// only the generate step differs (generateSharded), and the shard
+// journals it collects are stitched into the sealed job journal, also
+// after a cancel or a failure.
 //
 // The journal is recreated per attempt: a resumed job writes a fresh,
 // complete journal (with a resume event from the core) rather than
@@ -29,10 +33,16 @@ func (s *Server) execute(ctx context.Context, j *Job, resume bool) (err error) {
 		return fmt.Errorf("server: job %s journal: %w", j.ID, ferr)
 	}
 	journal := obs.NewJournal(jf)
+	var shards []obs.ShardJournal
 	defer func() {
 		_ = journal.Close()
 		if cerr := jf.Close(); cerr != nil && err == nil {
 			err = cerr
+		}
+		if len(shards) > 0 {
+			if serr := stitchJournal(j, shards); serr != nil && err == nil {
+				err = serr
+			}
 		}
 	}()
 
@@ -43,10 +53,12 @@ func (s *Server) execute(ctx context.Context, j *Job, resume bool) (err error) {
 	}
 
 	journal.Tee(j.hub.Publish)
-	tracer := obs.New(journal,
-		obs.String("cmd", "atpgd"),
-		obs.String("job", j.ID),
-		obs.F64("delta", delta))
+	attrs := []obs.Attr{obs.String("cmd", "atpgd"), obs.String("job", j.ID), obs.F64("delta", delta)}
+	if s.coord != nil {
+		attrs = append(attrs, obs.Bool("distributed", true))
+	}
+	epoch := time.Now()
+	tracer := obs.New(journal, attrs...)
 	prog := obs.NewProgress()
 	j.mu.Lock()
 	j.prog = prog
@@ -81,13 +93,26 @@ func (s *Server) execute(ctx context.Context, j *Job, resume bool) (err error) {
 	s.engineLive.Store(&live)
 
 	faults := sys.RequestFaults()
-	sols, err := sys.GenerateAllContext(ctx, faults)
+	var sols []*repro.Solution
+	var quar []api.QuarantineInfo
+	if s.coord == nil {
+		sols, err = sys.GenerateAllContext(ctx, faults)
+	} else {
+		sols, quar, shards, err = s.generateSharded(ctx, j, sys, faults, tracer, prog, epoch)
+	}
 	if err != nil {
 		return err
 	}
+	quar = append(quar, repro.WireQuarantines(sys.Quarantined())...)
+	sort.SliceStable(quar, func(a, b int) bool {
+		if quar[a].FaultID != quar[b].FaultID {
+			return quar[a].FaultID < quar[b].FaultID
+		}
+		return quar[a].Config < quar[b].Config
+	})
 	j.mu.Lock()
 	j.verdicts = repro.WireVerdicts(sols)
-	j.quarantined = repro.WireQuarantines(sys.Quarantined())
+	j.quarantined = quar
 	j.mu.Unlock()
 
 	copt := repro.DefaultCompactOptions()
@@ -106,6 +131,23 @@ func (s *Server) execute(ctx context.Context, j *Job, resume bool) (err error) {
 		return err
 	}
 	return writeFileAtomic(j.paths.Result, out)
+}
+
+// stitchJournal folds the shard journals, in shard order, into the
+// job's sealed journal on disk. A stitch failure (e.g. a worker shipped
+// a corrupt journal) must not fail the job: the coordinator journal
+// stays as it is.
+func stitchJournal(j *Job, shards []obs.ShardJournal) error {
+	coord, err := os.ReadFile(j.paths.Journal)
+	if err != nil {
+		return err
+	}
+	out, err := obs.Stitch(coord, shards)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "atpgd: job %s: journal stitch: %v (keeping coordinator journal)\n", j.ID, err)
+		return nil
+	}
+	return writeFileAtomic(j.paths.Journal, out)
 }
 
 // runJob drives one dequeued job through its lifecycle: state

@@ -227,7 +227,7 @@ func newServer(o Options) (*Server, error) {
 	if o.Distributed {
 		s.coord = newCoordinator(o.WorkerLease, o.PollWait)
 	}
-	s.execFn = s.executeAuto
+	s.execFn = s.execute
 	s.memFn = liveHeapBytes
 	if s.opt.MemHighWater > 0 && s.opt.MemLowWater == 0 {
 		s.opt.MemLowWater = s.opt.MemHighWater / 5 * 4

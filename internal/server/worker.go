@@ -194,29 +194,10 @@ func workerServe(ctx context.Context, o WorkerOptions, base string, w api.Worker
 	}
 }
 
-// workerRunShard computes one shard: a fresh system from the embedded
-// request, generation restricted to the shard's faults, a sealed
-// journal for the coordinator to stitch, and a heartbeat goroutine
-// keeping the lease alive while the engine works.
+// workerRunShard computes one shard with runShard while a heartbeat
+// goroutine keeps the lease alive.
 func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, sr api.ShardRequest) (*api.ShardResult, error) {
-	start := time.Now()
-	var jbuf bytes.Buffer
-	journal := obs.NewJournal(&jbuf)
-	tracer := obs.New(journal,
-		obs.String("cmd", "atpgd-worker"),
-		obs.String("job", sr.JobID),
-		obs.String("shard", sr.ShardID),
-		obs.String("worker", w.WorkerID))
 	prog := obs.NewProgress()
-
-	sys, err := repro.SystemFromRequest(ctx, sr.Request,
-		repro.WithTracer(tracer), repro.WithProgress(prog))
-	if err != nil {
-		tracer.Finish(err)
-		_ = journal.Close()
-		return nil, err
-	}
-
 	// Heartbeats extend the shard lease and report fault-granular
 	// progress (mapped from the engine's finer-grained phase percent).
 	hbCtx, hbStop := context.WithCancel(ctx)
@@ -243,33 +224,52 @@ func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.Wor
 			}
 		}
 	}()
+	return runShard(ctx, sr, w.WorkerID, prog)
+}
 
-	faults, err := repro.FaultsByID(sys.RequestFaults(), sr.FaultIDs)
+// runShard computes one shard as the given worker: a fresh system from
+// the embedded request, generation restricted to the shard's faults,
+// and a sealed journal for the coordinator to stitch. Workers and the
+// coordinator's no-worker fallback compute shards alike. prog, when
+// non-nil, tracks the generation's progress.
+func runShard(ctx context.Context, sr api.ShardRequest, workerID string, prog *obs.Progress) (*api.ShardResult, error) {
+	start := time.Now()
+	var jbuf bytes.Buffer
+	journal := obs.NewJournal(&jbuf)
+	tracer := obs.New(journal,
+		obs.String("cmd", "atpgd-worker"),
+		obs.String("job", sr.JobID),
+		obs.String("shard", sr.ShardID),
+		obs.String("worker", workerID))
+
+	sys, err := repro.SystemFromRequest(ctx, sr.Request,
+		repro.WithTracer(tracer), repro.WithProgress(prog))
+	var sols []*repro.Solution
 	if err == nil {
-		var sols []*repro.Solution
-		sols, err = sys.GenerateShardContext(ctx, sr.ShardID, faults)
-		if err == nil {
-			hbStop()
-			final := repro.WireMetrics(sys.Metrics())
-			tracer.Finish(nil, obs.Any("metrics", final))
-			if cerr := journal.Close(); cerr != nil {
-				return nil, cerr
-			}
-			return &api.ShardResult{
-				V:           api.Version,
-				JobID:       sr.JobID,
-				ShardID:     sr.ShardID,
-				WorkerID:    w.WorkerID,
-				Solutions:   repro.WireShardSolutions(sols),
-				Quarantined: repro.WireQuarantines(sys.Quarantined()),
-				Journal:     jbuf.String(),
-				ElapsedMS:   time.Since(start).Milliseconds(),
-			}, nil
+		var faults []repro.Fault
+		if faults, err = repro.FaultsByID(sys.RequestFaults(), sr.FaultIDs); err == nil {
+			sols, err = sys.GenerateShardContext(ctx, sr.ShardID, faults)
 		}
 	}
-	tracer.Finish(err)
-	_ = journal.Close()
-	return nil, err
+	if err != nil {
+		tracer.Finish(err)
+		_ = journal.Close()
+		return nil, err
+	}
+	tracer.Finish(nil, obs.Any("metrics", repro.WireMetrics(sys.Metrics())))
+	if err := journal.Close(); err != nil {
+		return nil, err
+	}
+	return &api.ShardResult{
+		V:           api.Version,
+		JobID:       sr.JobID,
+		ShardID:     sr.ShardID,
+		WorkerID:    workerID,
+		Solutions:   repro.WireShardSolutions(sols),
+		Quarantined: repro.WireQuarantines(sys.Quarantined()),
+		Journal:     jbuf.String(),
+		ElapsedMS:   time.Since(start).Milliseconds(),
+	}, nil
 }
 
 // workerDeliver posts a shard result with a short retry. Reports false

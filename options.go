@@ -84,12 +84,6 @@ func WithMonteCarloBox(samples int, seed int64) Option {
 	})
 }
 
-// WithCacheEntries bounds the nominal-response cache (total entries
-// across shards; default 65536).
-func WithCacheEntries(n int) Option {
-	return optionFunc(func(c *core.Config) { c.CacheEntries = n })
-}
-
 // WithFastBoxes is shorthand for WithBoxMode(BoxSeed): seed-calibrated
 // tolerance boxes, the cheap setup used by tests and interactive runs.
 func WithFastBoxes() Option { return WithBoxMode(BoxSeed) }

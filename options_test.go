@@ -14,7 +14,6 @@ func TestFunctionalOptions(t *testing.T) {
 	sys, err := NewIVConverterSystem(
 		WithFastBoxes(),
 		WithWorkers(2),
-		WithCacheEntries(1024),
 		WithImpactRange(1, 1e9),
 	)
 	if err != nil {

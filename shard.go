@@ -33,8 +33,8 @@ type MergeRun = core.MergeRun
 const PhaseGenerate = core.PhaseGenerate
 
 // GenerateShardContext generates tests for one shard of a distributed
-// run: GenerateAllContext restricted to the given faults, wrapped in a
-// shard-tagged journal span.
+// run: GenerateAllContext's schedule over the given faults, wrapped in
+// a shard-tagged journal span. It never opens the system's checkpoint.
 func (s *System) GenerateShardContext(ctx context.Context, shardID string, faults []Fault) ([]*Solution, error) {
 	return s.session.GenerateShardContext(ctx, shardID, faults)
 }
