@@ -3,8 +3,11 @@
 // protocol is pull-based — workers register with WorkerHello, long-poll
 // the coordinator for ShardRequests, stream liveness and progress back
 // with WorkerHeartbeat, and return ShardResults. All messages ride the
-// same schema version ("v") as the job messages; the shard types are a
-// purely additive extension of wire version 1.
+// same schema version ("v") as the job messages. The protocol is spoken
+// between a coordinator and workers of one build (a worker is the same
+// atpgd binary), so it may change without a version bump: a result
+// body is a JSON header line followed by the raw shard journal
+// (ShardResult.Header, ParseShardResult).
 //
 // Determinism contract: a ShardResult carries, per fault, exactly the
 // fields of the engine's checkpoint record — the set proven sufficient
@@ -14,7 +17,11 @@
 // shard count, assignment order, worker deaths, or retries.
 package api
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+)
 
 // WorkerHello announces a worker to the coordinator
 // (POST /v1/workers). The coordinator replies with a WorkerWelcome.
@@ -181,7 +188,9 @@ type ShardSolution struct {
 // ShardResult returns a completed shard to the coordinator
 // (POST /v1/workers/{id}/result). Results are deterministic, so the
 // coordinator accepts the first result for a shard and discards
-// duplicates from presumed-dead workers that finished after all.
+// duplicates from presumed-dead workers that finished after all. The
+// body of the post is the result's Header line followed by its journal
+// bytes verbatim, so the journal is never escaped into a JSON string.
 type ShardResult struct {
 	// V is the wire schema version.
 	V int `json:"v"`
@@ -196,10 +205,11 @@ type ShardResult struct {
 	// Quarantined lists fault×config tasks the worker's runtime isolated
 	// (panic or stall), merged into the job's quarantine report.
 	Quarantined []QuarantineInfo `json:"quarantined,omitempty"`
-	// Journal is the shard's sealed observability journal (JSONL text);
-	// the coordinator stitches it into the job journal with shard-tagged
-	// spans.
-	Journal string `json:"journal,omitempty"`
+	// Journal is the shard's sealed observability journal (JSONL); the
+	// coordinator stitches it into the job journal with shard-tagged
+	// spans. It is not part of the JSON: it travels behind the header
+	// line of the result body.
+	Journal []byte `json:"-"`
 	// ElapsedMS is the worker-side wall time of the shard.
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 }
@@ -228,4 +238,36 @@ func (s ShardResult) Validate() error {
 		return fmt.Errorf("api: negative shard elapsed %d ms", s.ElapsedMS)
 	}
 	return nil
+}
+
+// Header returns the first line of the result's post body: the result
+// without its journal as compact JSON, then a newline. The journal
+// bytes follow it verbatim. Compact JSON escapes every control
+// character inside strings, so the header holds no other newline.
+func (s ShardResult) Header() ([]byte, error) {
+	b, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("api: encode shard result: %w", err)
+	}
+	return append(b, '\n'), nil
+}
+
+// ParseShardResult parses a result post body: the header line, decoded
+// as strictly as Validate decodes a "ShardResult" and then validated,
+// and the journal bytes after its newline. Journal aliases body rather
+// than copying it, and is nil when the body ends with the header line
+// or has no newline at all.
+func ParseShardResult(body []byte) (ShardResult, error) {
+	header, journal := body, []byte(nil)
+	if i := bytes.IndexByte(body, '\n'); i >= 0 {
+		header, journal = body[:i], body[i+1:]
+	}
+	var s ShardResult
+	if err := decodeStrict("ShardResult", header, &s); err != nil {
+		return ShardResult{}, err
+	}
+	if len(journal) > 0 {
+		s.Journal = journal
+	}
+	return s, s.Validate()
 }

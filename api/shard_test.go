@@ -34,7 +34,7 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 				Sensitivity: 0.9, CriticalImpact: 12.5, Evals: 100, ImpactIters: 7,
 			}},
 			Quarantined: []QuarantineInfo{{FaultID: "M2:DSS", Config: 1, Phase: "optimize", Reason: "panic"}},
-			Journal:     "{\"type\":\"run_start\"}\n",
+			Journal:     []byte("{\"type\":\"run_start\"}\n"),
 			ElapsedMS:   1234,
 		},
 	}

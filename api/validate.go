@@ -19,18 +19,7 @@ import (
 // kinds, and a test round-trips each through this function; that is the
 // mechanism keeping the wire reference honest.
 func Validate(kind string, data []byte) error {
-	decode := func(v any) error {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
-			return fmt.Errorf("api: decode %s: %w", kind, err)
-		}
-		// Reject trailing garbage after the first JSON value.
-		if dec.More() {
-			return fmt.Errorf("api: decode %s: trailing data after message", kind)
-		}
-		return nil
-	}
+	decode := func(v any) error { return decodeStrict(kind, data, v) }
 	version := func(v int) error {
 		if v < 1 || v > Version {
 			return fmt.Errorf("api: %s version %d outside v1..v%d", kind, v, Version)
@@ -110,4 +99,19 @@ func Validate(kind string, data []byte) error {
 	default:
 		return fmt.Errorf("api: unknown message kind %q", kind)
 	}
+}
+
+// decodeStrict decodes data as one kind message into v: unknown fields
+// and trailing data after the first JSON value are errors.
+func decodeStrict(kind string, data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("api: decode %s: %w", kind, err)
+	}
+	// Reject trailing garbage after the first JSON value.
+	if dec.More() {
+		return fmt.Errorf("api: decode %s: trailing data after message", kind)
+	}
+	return nil
 }

@@ -14,11 +14,13 @@ package server
 //	POST /v1/workers                register (api.WorkerHello → api.WorkerWelcome)
 //	POST /v1/workers/{id}/poll      long-poll for a shard (200 api.ShardRequest | 204)
 //	POST /v1/workers/{id}/heartbeat extend lease, report progress (api.WorkerHeartbeat)
-//	POST /v1/workers/{id}/result    deliver a shard (api.ShardResult; 410 when stale)
+//	POST /v1/workers/{id}/result    deliver a shard (api.ShardResult header line, then
+//	                                the shard journal's bytes; 410 when stale)
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -426,6 +428,13 @@ func (c *coordinator) abandon(jobID string) {
 	}
 }
 
+// known reports whether a worker is registered.
+func (c *coordinator) known(workerID string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.workers[workerID] != nil
+}
+
 // liveWorkers returns the registered worker count.
 func (c *coordinator) liveWorkers() int {
 	c.mu.Lock()
@@ -502,9 +511,12 @@ func (s *Server) workerRoutes() {
 	s.mux.HandleFunc("POST /v1/workers/{id}/result", s.handleWorkerResult)
 }
 
+// maxWorkerBody bounds the body of every worker route.
+const maxWorkerBody = 64 << 20
+
 // decodeBody strictly decodes a bounded JSON request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{ Validate() error }) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkerBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error(), 0)
@@ -591,10 +603,36 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleWorkerResult accepts a shard result: its header line, then the
+// shard journal's bytes (api.ParseShardResult). An unknown worker or an
+// oversized Content-Length is refused before the body is read; the body
+// is then read once, into a buffer of its declared length, and the
+// journal reaches the stitch as a slice of that buffer.
 func (s *Server) handleWorkerResult(w http.ResponseWriter, r *http.Request) {
 	workerID := r.PathValue("id")
-	var res api.ShardResult
-	if !decodeBody(w, r, &res) {
+	if !s.coord.known(workerID) {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no such worker %q (re-register)", workerID), 0)
+		return
+	}
+	if r.ContentLength > maxWorkerBody {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %d bytes exceed the %d-byte limit", r.ContentLength, maxWorkerBody), 0)
+		return
+	}
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxWorkerBody))
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error(), 0)
+		return
+	}
+	res, err := api.ParseShardResult(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request body: "+err.Error(), 0)
 		return
 	}
 	switch s.coord.result(workerID, &res) {

@@ -196,6 +196,7 @@ func TestDistributedBitIdentical(t *testing.T) {
 	if joins := reconcileWorkers(t, raw); joins["w1"]+joins["w2"] != "alphabeta" && joins["w1"]+joins["w2"] != "betaalpha" {
 		t.Errorf("worker_join names = %v, want alpha and beta", joins)
 	}
+	reconcileShards(t, raw)
 
 	workers, _, assigned, _, completed := s.DistStats()
 	if workers != 2 {
@@ -253,6 +254,7 @@ func TestJournalNamesWorkersByID(t *testing.T) {
 	if joins := reconcileWorkers(t, raw); joins["w1"] != "w2" || joins["w2"] != "w1" || len(joins) != 2 {
 		t.Fatalf("worker_join ID → name = %v, want map[w1:w2 w2:w1]", joins)
 	}
+	reconcileShards(t, raw)
 	// One name per worker per shard: its shard_assign, its shard_done
 	// and the records stitched in from its journal agree (unless a lost
 	// lease moved the shard to the other worker).
@@ -283,10 +285,8 @@ func TestJournalNamesWorkersByID(t *testing.T) {
 	}
 }
 
-// reconcileWorkers checks a distributed job's journal against the
-// reconciliation rule that every worker named on a shard-tagged record
-// has a worker_join, and returns the joined workers' names by ID.
-func reconcileWorkers(t *testing.T, journal []byte) map[string]string {
+// journalEvents decodes every record of a journal.
+func journalEvents(t *testing.T, journal []byte) []obs.Event {
 	t.Helper()
 	var evs []obs.Event
 	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
@@ -296,6 +296,15 @@ func reconcileWorkers(t *testing.T, journal []byte) map[string]string {
 		}
 		evs = append(evs, ev)
 	}
+	return evs
+}
+
+// reconcileWorkers checks a distributed job's journal against the
+// reconciliation rule that every worker named on a shard-tagged record
+// has a worker_join, and returns the joined workers' names by ID.
+func reconcileWorkers(t *testing.T, journal []byte) map[string]string {
+	t.Helper()
+	evs := journalEvents(t, journal)
 	joins := make(map[string]string)
 	for _, ev := range evs {
 		if ev.Name == "worker_join" {
@@ -313,6 +322,53 @@ func reconcileWorkers(t *testing.T, journal []byte) map[string]string {
 		}
 	}
 	return joins
+}
+
+// reconcileShards checks that a succeeded distributed job's journal
+// holds its shard journals: every shard_assign is closed by a shard_done
+// or a shard_requeue of its shard, and every shard_done has exactly one
+// stitched "shard" span_start carrying its shard ID, as no other shard
+// has. A failed stitch keeps the coordinator journal, which has no
+// shard spans, and a shard journal stitched twice or under another
+// shard's ID shows here too.
+func reconcileShards(t *testing.T, journal []byte) {
+	t.Helper()
+	open := make(map[string]int) // assignments not closed yet, by shard
+	done := make(map[string]int)
+	spans := make(map[string]int)
+	for _, ev := range journalEvents(t, journal) {
+		shard, _ := ev.Attrs["shard"].(string)
+		switch {
+		case ev.Type == obs.TypeEvent && ev.Name == "shard_assign":
+			open[shard]++
+		case ev.Type == obs.TypeEvent && (ev.Name == "shard_done" || ev.Name == "shard_requeue"):
+			// A result from a requeued shard's first worker closes no
+			// assignment: its requeue closed it.
+			if open[shard] > 0 {
+				open[shard]--
+			}
+			if ev.Name == "shard_done" {
+				done[shard]++
+			}
+		case ev.Type == obs.TypeSpanStart && ev.Name == "shard":
+			spans[shard]++
+		}
+	}
+	for shard, n := range open {
+		if n > 0 {
+			t.Errorf("shard %s: %d shard_assign closed by no shard_done or shard_requeue", shard, n)
+		}
+	}
+	for shard, n := range done {
+		if n != 1 || spans[shard] != 1 {
+			t.Errorf("shard %s: %d shard_done and %d stitched shard spans, want 1 and 1", shard, n, spans[shard])
+		}
+	}
+	for shard, n := range spans {
+		if done[shard] == 0 {
+			t.Errorf("shard %s: %d stitched shard spans without a shard_done", shard, n)
+		}
+	}
 }
 
 // crashingTransport fails every shard-result delivery and kills its
@@ -390,6 +446,7 @@ func TestDistributedWorkerDeathRequeues(t *testing.T) {
 		t.Fatalf("journal invalid after worker death: %v", err)
 	}
 	reconcileWorkers(t, raw)
+	reconcileShards(t, raw)
 }
 
 // TestDistributedScavengeFallback runs a distributed daemon with no
@@ -442,6 +499,7 @@ func TestDistributedScavengeFallback(t *testing.T) {
 	if joins := reconcileWorkers(t, raw); joins[localWorker] != localWorker {
 		t.Errorf("worker_join names = %v, want the local fallback", joins)
 	}
+	reconcileShards(t, raw)
 }
 
 // TestDistributedCoordinatorRestartReshards crashes the coordinator
@@ -533,4 +591,5 @@ func restartCoordinator(t *testing.T, withWorker bool) {
 		t.Fatalf("journal invalid after coordinator restart: %v", err)
 	}
 	reconcileWorkers(t, raw)
+	reconcileShards(t, raw)
 }

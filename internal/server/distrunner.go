@@ -14,6 +14,7 @@ package server
 // fingerprint ignores sharding entirely).
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -145,12 +146,12 @@ func (s *Server) generateSharded(ctx context.Context, j *Job, sys *repro.System,
 				}
 			}
 			quar = append(quar, d.res.Quarantined...)
-			if d.res.Journal != "" {
+			if len(d.res.Journal) > 0 {
 				byShard[d.sh.seq] = obs.ShardJournal{
 					Shard:    d.sh.id,
 					Worker:   d.worker,
 					OffsetNS: d.assignedAt.Sub(epoch).Nanoseconds(),
-					Data:     []byte(d.res.Journal),
+					Data:     d.res.Journal,
 				}
 			}
 
@@ -175,7 +176,9 @@ func (s *Server) generateSharded(ctx context.Context, j *Job, sys *repro.System,
 			gate.emit("shard_assign",
 				obs.String("shard", sh.id), obs.String("worker", localWorker),
 				obs.Int("faults", len(sh.faults)))
-			res, rerr := runShard(ctx, sh.request(), localWorker, nil)
+			// A fresh journal buffer per shard: its bytes are the
+			// result's Journal, which lives until the stitch.
+			res, rerr := runShard(ctx, sh.request(), localWorker, nil, new(bytes.Buffer))
 			if rerr != nil {
 				return nil, nil, nil, rerr
 			}

@@ -15,9 +15,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -102,10 +105,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// postJSON posts body, encoded compactly by json.Marshal, and decodes a
-// JSON reply into out when non-nil. Returns the HTTP status. The
-// coordinator is a program, not a reader: indenting would only copy a
-// shard result's embedded journal once more.
+// postJSON posts body, encoded compactly by json.Marshal (the
+// coordinator is a program, not a reader), and decodes a JSON reply into
+// out when non-nil. Returns the HTTP status. Shard results do not come
+// this way: workerDeliver posts their journal bytes behind the header
+// line without encoding them.
 func postJSON(ctx context.Context, c *http.Client, url string, body, out any) (int, error) {
 	var b []byte
 	if body != nil {
@@ -114,9 +118,24 @@ func postJSON(ctx context.Context, c *http.Client, url string, body, out any) (i
 			return 0, fmt.Errorf("server: encode %T: %w", body, err)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
+	return post(ctx, c, url, int64(len(b)), func() (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(b)), nil
+	}, out)
+}
+
+// post posts a body of n bytes and decodes a JSON reply into out when
+// non-nil. Returns the HTTP status. body is called for the request and
+// again whenever net/http resends it on a new connection.
+func post(ctx context.Context, c *http.Client, url string, n int64, body func() (io.ReadCloser, error), out any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, http.NoBody)
 	if err != nil {
 		return 0, err
+	}
+	if n > 0 {
+		if req.Body, err = body(); err != nil {
+			return 0, err
+		}
+		req.ContentLength, req.GetBody = n, body
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.Do(req)
@@ -147,10 +166,51 @@ func workerRegister(ctx context.Context, o WorkerOptions, base string) (api.Work
 	return welcome, welcome.Validate()
 }
 
+// journalBuffer is the journal buffer a worker computes its shards into,
+// reused from shard to shard. A result post reads the buffer in place,
+// and net/http may go on reading a request body after RoundTrip returns
+// (when the server answers before it has read it all), so the buffer is
+// reused only once the transport has closed every body that reads it.
+type journalBuffer struct {
+	bytes.Buffer
+	// reading counts the posted bodies the transport has not closed.
+	reading atomic.Int32
+}
+
+// next returns b emptied for the next shard, or a fresh buffer while a
+// request body may still read b (or when b is nil).
+func (b *journalBuffer) next() *journalBuffer {
+	if b == nil || b.reading.Load() != 0 {
+		return new(journalBuffer)
+	}
+	b.Reset()
+	return b
+}
+
+// resultBody is one post of a shard result: the header line, then the
+// journal bytes read in place from buf.
+type resultBody struct {
+	io.Reader
+	buf  *journalBuffer
+	once sync.Once
+}
+
+func newResultBody(header []byte, res *api.ShardResult, buf *journalBuffer) *resultBody {
+	buf.reading.Add(1)
+	return &resultBody{Reader: io.MultiReader(bytes.NewReader(header), bytes.NewReader(res.Journal)), buf: buf}
+}
+
+// Close tells the buffer that the transport is done with this body.
+func (r *resultBody) Close() error {
+	r.once.Do(func() { r.buf.reading.Add(-1) })
+	return nil
+}
+
 // workerServe polls for shards under one registration; it returns when
 // the registration dies (coordinator restart, lease loss) or ctx
 // cancels, and the caller re-registers.
 func workerServe(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome) {
+	var jbuf *journalBuffer
 	for ctx.Err() == nil {
 		if err := fpWorkerPoll.Hit(); err != nil {
 			o.Logf("poll failpoint: %v", err)
@@ -181,22 +241,23 @@ func workerServe(ctx context.Context, o WorkerOptions, base string, w api.Worker
 			continue
 		}
 
-		res, err := workerRunShard(ctx, o, base, w, sr)
+		jbuf = jbuf.next()
+		res, err := workerRunShard(ctx, o, base, w, sr, &jbuf.Buffer)
 		if err != nil {
 			// Drop the shard: the lease expires and the coordinator
 			// re-queues it (possibly right back to this worker).
 			o.Logf("shard %s: %v", sr.ShardID, err)
 			continue
 		}
-		if !workerDeliver(ctx, o, base, w, res) {
+		if !workerDeliver(ctx, o, base, w, res, jbuf) {
 			return
 		}
 	}
 }
 
-// workerRunShard computes one shard with runShard while a heartbeat
-// goroutine keeps the lease alive.
-func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, sr api.ShardRequest) (*api.ShardResult, error) {
+// workerRunShard computes one shard with runShard, its journal into
+// jbuf, while a heartbeat goroutine keeps the lease alive.
+func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, sr api.ShardRequest, jbuf *bytes.Buffer) (*api.ShardResult, error) {
 	prog := obs.NewProgress()
 	// Heartbeats extend the shard lease and report fault-granular
 	// progress (mapped from the engine's finer-grained phase percent).
@@ -224,18 +285,18 @@ func workerRunShard(ctx context.Context, o WorkerOptions, base string, w api.Wor
 			}
 		}
 	}()
-	return runShard(ctx, sr, w.WorkerID, prog)
+	return runShard(ctx, sr, w.WorkerID, prog, jbuf)
 }
 
 // runShard computes one shard as the given worker: a fresh system from
 // the embedded request, generation restricted to the shard's faults,
-// and a sealed journal for the coordinator to stitch. Workers and the
+// and a sealed journal for the coordinator to stitch, written into the
+// empty jbuf; the result's Journal aliases jbuf. Workers and the
 // coordinator's no-worker fallback compute shards alike. prog, when
 // non-nil, tracks the generation's progress.
-func runShard(ctx context.Context, sr api.ShardRequest, workerID string, prog *obs.Progress) (*api.ShardResult, error) {
+func runShard(ctx context.Context, sr api.ShardRequest, workerID string, prog *obs.Progress, jbuf *bytes.Buffer) (*api.ShardResult, error) {
 	start := time.Now()
-	var jbuf bytes.Buffer
-	journal := obs.NewJournal(&jbuf)
+	journal := obs.NewJournal(jbuf)
 	tracer := obs.New(journal,
 		obs.String("cmd", "atpgd-worker"),
 		obs.String("job", sr.JobID),
@@ -267,22 +328,31 @@ func runShard(ctx context.Context, sr api.ShardRequest, workerID string, prog *o
 		WorkerID:    workerID,
 		Solutions:   repro.WireShardSolutions(sols),
 		Quarantined: repro.WireQuarantines(sys.Quarantined()),
-		Journal:     jbuf.String(),
+		Journal:     jbuf.Bytes(),
 		ElapsedMS:   time.Since(start).Milliseconds(),
 	}, nil
 }
 
-// workerDeliver posts a shard result with a short retry. Reports false
-// when the worker must re-register (registration lost).
-func workerDeliver(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, res *api.ShardResult) bool {
+// workerDeliver posts a shard result, whose journal lives in jbuf, with
+// a short retry. The body is the result's header line followed by the
+// journal bytes (api.ShardResult.Header). Reports false when the worker
+// must re-register (registration lost).
+func workerDeliver(ctx context.Context, o WorkerOptions, base string, w api.WorkerWelcome, res *api.ShardResult, jbuf *journalBuffer) bool {
 	if err := fpWorkerPost.Hit(); err != nil {
 		// Injected delivery failure: drop the result; the lease reaper
 		// re-queues the shard.
 		o.Logf("post failpoint: %v", err)
 		return true
 	}
+	header, err := res.Header()
+	if err != nil {
+		o.Logf("deliver shard %s: %v", res.ShardID, err)
+		return true
+	}
+	n := int64(len(header) + len(res.Journal))
+	body := func() (io.ReadCloser, error) { return newResultBody(header, res, jbuf), nil }
 	for attempt := 0; attempt < 3; attempt++ {
-		code, err := postJSON(ctx, o.Client, base+"/v1/workers/"+w.WorkerID+"/result", res, nil)
+		code, err := post(ctx, o.Client, base+"/v1/workers/"+w.WorkerID+"/result", n, body, nil)
 		switch {
 		case ctx.Err() != nil:
 			return false
